@@ -1,6 +1,7 @@
 #include "rtl/batch_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace mont::rtl {
@@ -149,22 +150,23 @@ void BatchSimulator::Tick() {
   if (toggle_capture_) AccumulateToggles();
 }
 
-void BatchSimulator::EnableToggleCapture(std::span<const NetId> nets) {
+void BatchSimulator::EnableToggleCapture() {
+  toggle_all_nets_ = true;
   toggle_nets_.clear();
-  if (nets.empty()) {
-    toggle_nets_.reserve(compiled_.NetCount());
-    for (NetId id = 0; id < compiled_.NetCount(); ++id) {
-      toggle_nets_.push_back(id);
+  toggle_prev_.assign(words_.begin(), words_.begin() + compiled_.NetCount());
+  toggle_counts_.fill(0);
+  toggle_capture_ = true;
+}
+
+void BatchSimulator::EnableToggleCapture(std::span<const NetId> nets) {
+  for (const NetId id : nets) {
+    if (!compiled_.ValidNet(id)) {
+      throw std::out_of_range(
+          "BatchSimulator::EnableToggleCapture: unknown net");
     }
-  } else {
-    for (const NetId id : nets) {
-      if (!compiled_.ValidNet(id)) {
-        throw std::out_of_range(
-            "BatchSimulator::EnableToggleCapture: unknown net");
-      }
-    }
-    toggle_nets_.assign(nets.begin(), nets.end());
   }
+  toggle_all_nets_ = false;
+  toggle_nets_.assign(nets.begin(), nets.end());
   toggle_prev_.resize(toggle_nets_.size());
   for (std::size_t i = 0; i < toggle_nets_.size(); ++i) {
     toggle_prev_[i] = words_[toggle_nets_[i]];
@@ -175,34 +177,93 @@ void BatchSimulator::EnableToggleCapture(std::span<const NetId> nets) {
 
 void BatchSimulator::DisableToggleCapture() {
   toggle_capture_ = false;
+  toggle_all_nets_ = false;
   toggle_nets_.clear();
   toggle_prev_.clear();
   toggle_counts_.fill(0);
 }
 
-void BatchSimulator::AccumulateToggles() {
-  // Vertical (bit-sliced) counters: plane p holds bit p of every lane's
-  // running count, so one XOR word updates all 64 lane counts in the few
-  // word ops its ripple carry needs.  32 planes cover any NetId count.
-  constexpr std::size_t kPlanes = 32;
+namespace {
+
+/// Carry-save adder over 64 bit positions: high:low = a + b + c.
+void Csa(std::uint64_t& high, std::uint64_t& low, std::uint64_t a,
+         std::uint64_t b, std::uint64_t c) {
+  const std::uint64_t u = a ^ b;
+  high = (a & b) | (u & c);
+  low = u ^ c;
+}
+
+/// Counts, per lane, the words word(0..n-1) that differ from prev[0..n-1]
+/// and refreshes prev.  Vertical (bit-sliced) counters: plane p holds bit p
+/// of every lane's count.  Planes 0-3 are the Harley–Seal accumulators of a
+/// 16-input adder tree; each block of 16 XOR words leaves one word of
+/// sixteens, and only that carry ripples into the planes above.
+template <typename Word>
+void CountToggles(std::size_t n, Word word, std::uint64_t* prev,
+                  std::array<std::uint32_t, BatchSimulator::kLanes>& counts) {
+  constexpr std::size_t kPlanes = 32;  // covers any NetId count
   std::uint64_t planes[kPlanes] = {};
-  const std::size_t n = toggle_nets_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t current = words_[toggle_nets_[i]];
-    std::uint64_t carry = current ^ toggle_prev_[i];
-    toggle_prev_[i] = current;
-    for (std::size_t p = 0; carry != 0 && p < kPlanes; ++p) {
+  const auto ripple = [&planes](std::size_t p, std::uint64_t carry) {
+    for (; carry != 0 && p < kPlanes; ++p) {
       const std::uint64_t next = planes[p] & carry;
       planes[p] ^= carry;
       carry = next;
     }
+  };
+  const auto toggled = [&](std::size_t i) {
+    const std::uint64_t current = word(i);
+    const std::uint64_t changed = current ^ prev[i];
+    prev[i] = current;
+    return changed;
+  };
+  std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    std::uint64_t twos_a = 0, twos_b = 0, fours_a = 0, fours_b = 0;
+    std::uint64_t eights_a = 0, eights_b = 0, sixteens = 0;
+    Csa(twos_a, ones, ones, toggled(i), toggled(i + 1));
+    Csa(twos_b, ones, ones, toggled(i + 2), toggled(i + 3));
+    Csa(fours_a, twos, twos, twos_a, twos_b);
+    Csa(twos_a, ones, ones, toggled(i + 4), toggled(i + 5));
+    Csa(twos_b, ones, ones, toggled(i + 6), toggled(i + 7));
+    Csa(fours_b, twos, twos, twos_a, twos_b);
+    Csa(eights_a, fours, fours, fours_a, fours_b);
+    Csa(twos_a, ones, ones, toggled(i + 8), toggled(i + 9));
+    Csa(twos_b, ones, ones, toggled(i + 10), toggled(i + 11));
+    Csa(fours_a, twos, twos, twos_a, twos_b);
+    Csa(twos_a, ones, ones, toggled(i + 12), toggled(i + 13));
+    Csa(twos_b, ones, ones, toggled(i + 14), toggled(i + 15));
+    Csa(fours_b, twos, twos, twos_a, twos_b);
+    Csa(eights_b, fours, fours, fours_a, fours_b);
+    Csa(sixteens, eights, eights, eights_a, eights_b);
+    ripple(4, sixteens);
   }
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    std::uint32_t count = 0;
-    for (std::size_t p = 0; p < kPlanes; ++p) {
-      count |= static_cast<std::uint32_t>((planes[p] >> lane) & 1u) << p;
+  planes[0] = ones;
+  planes[1] = twos;
+  planes[2] = fours;
+  planes[3] = eights;
+  for (; i < n; ++i) ripple(0, toggled(i));
+  counts.fill(0);
+  for (std::size_t p = 0; p < kPlanes; ++p) {
+    for (std::uint64_t lanes = planes[p]; lanes != 0; lanes &= lanes - 1) {
+      counts[std::countr_zero(lanes)] |= std::uint32_t{1} << p;
     }
-    toggle_counts_[lane] = count;
+  }
+}
+
+}  // namespace
+
+void BatchSimulator::AccumulateToggles() {
+  const std::uint64_t* w = words_.data();
+  if (toggle_all_nets_) {
+    CountToggles(
+        toggle_prev_.size(), [w](std::size_t i) { return w[i]; },
+        toggle_prev_.data(), toggle_counts_);
+  } else {
+    const NetId* nets = toggle_nets_.data();
+    CountToggles(
+        toggle_nets_.size(), [w, nets](std::size_t i) { return w[nets[i]]; },
+        toggle_prev_.data(), toggle_counts_);
   }
 }
 

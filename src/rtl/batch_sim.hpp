@@ -94,17 +94,25 @@ class BatchSimulator {
   // The side-channel lab's power model is CMOS switching activity: one
   // sample per clock cycle counting the nets whose value changed on that
   // edge, independently for each of the 64 lanes.  The accumulation is
-  // bit-sliced (vertical counters): adding one net's 64-lane XOR word
-  // costs O(carry depth) word ops instead of 64 popcounts, so capture
-  // stays a small constant factor on top of plain simulation.
+  // bit-sliced (vertical counters) and carry-save: the nets' 64-lane XOR
+  // words enter a Harley–Seal adder tree sixteen at a time, so each net
+  // costs a handful of branch-free word ops instead of 64 popcounts.  On
+  // the 64-bit MMMC a full-net ModExp capture takes about 1.6x the time of
+  // plain simulation of the same multiplications (bench_sca's
+  // capture_overhead row; 1.58-1.83x over five runs, gated at 2.2x).
 
-  /// Enables per-cycle toggle accounting over `nets` (empty = every net of
-  /// the circuit).  The snapshot taken here is the baseline the next
-  /// Tick()'s counts are measured against.  Throws std::out_of_range for
-  /// an unknown net.
-  void EnableToggleCapture(std::span<const NetId> nets = {});
+  /// Enables per-cycle toggle accounting over every net of the circuit.
+  /// The snapshot taken here is the baseline the next Tick()'s counts are
+  /// measured against.
+  void EnableToggleCapture();
+  /// Enables toggle accounting over exactly `nets` (an empty span tracks
+  /// nothing; a net listed twice counts twice).  Throws std::out_of_range
+  /// for an unknown net.
+  void EnableToggleCapture(std::span<const NetId> nets);
   void DisableToggleCapture();
   bool ToggleCaptureEnabled() const { return toggle_capture_; }
+  /// Number of tracked nets (0 while capture is disabled).
+  std::size_t TrackedNetCount() const { return toggle_prev_.size(); }
   /// Per-lane count of tracked nets that changed across the most recent
   /// Tick() (all zeros before the first Tick() after enabling).
   const std::array<std::uint32_t, kLanes>& ToggleCounts() const {
@@ -171,9 +179,11 @@ class BatchSimulator {
   std::uint64_t cycles_ = 0;
   bool dirty_ = true;
 
-  /// Toggle accounting: tracked nets, their previous post-Tick values, and
-  /// the per-lane counts of the most recent Tick.
+  /// Toggle accounting: tracked nets (empty while every net is tracked, in
+  /// NetId order), their previous post-Tick values, and the per-lane
+  /// counts of the most recent Tick.
   bool toggle_capture_ = false;
+  bool toggle_all_nets_ = false;
   std::vector<NetId> toggle_nets_;
   std::vector<std::uint64_t> toggle_prev_;
   std::array<std::uint32_t, kLanes> toggle_counts_{};

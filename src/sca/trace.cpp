@@ -17,6 +17,14 @@ using bignum::BigUInt;
 // TraceSet
 // ---------------------------------------------------------------------------
 
+TraceSet::TraceSet(std::size_t count, std::size_t samples,
+                   std::vector<double> data)
+    : count_(count), samples_(samples), data_(std::move(data)) {
+  if (data_.size() != count * samples) {
+    throw std::invalid_argument("TraceSet: data size is not count * samples");
+  }
+}
+
 void TraceSet::Append(std::span<const double> trace) {
   if (count_ == 0) {
     samples_ = trace.size();
@@ -181,7 +189,6 @@ GateLevelCapture::GateLevelCapture(BigUInt modulus,
     for (const rtl::Bus* bus : {&gen_.t_probe, &gen_.c0_probe, &gen_.c1_probe}) {
       tracked.insert(tracked.end(), bus->begin(), bus->end());
     }
-    tracked_net_count_ = tracked.size();
     sim_->EnableToggleCapture(tracked);
   } else if (options_.secret_cone_only) {
     const analysis::TaintReport taint = analysis::AnalyzeTaint(*gen_.netlist);
@@ -191,10 +198,8 @@ GateLevelCapture::GateLevelCapture(BigUInt modulus,
         tracked.push_back(static_cast<rtl::NetId>(id));
       }
     }
-    tracked_net_count_ = tracked.size();
     sim_->EnableToggleCapture(tracked);
   } else {
-    tracked_net_count_ = gen_.netlist->NodeCount();
     sim_->EnableToggleCapture();
   }
 }
@@ -205,45 +210,61 @@ BigUInt GateLevelCapture::LaneResult(std::size_t lane) const {
 
 void GateLevelCapture::RunOneMmm(const std::vector<BigUInt>& xs,
                                  const std::vector<BigUInt>& ys,
-                                 std::vector<std::vector<double>>& rows) {
-  // Present operand pair k on lane k (idle lanes multiply 0 by 0).
-  for (std::size_t i = 0; i < gen_.x_in.size(); ++i) {
-    std::uint64_t wx = 0, wy = 0;
-    for (std::size_t lane = 0; lane < xs.size(); ++lane) {
-      if (xs[lane].Bit(i)) wx |= std::uint64_t{1} << lane;
-      if (ys[lane].Bit(i)) wy |= std::uint64_t{1} << lane;
-    }
-    sim_->SetInput(gen_.x_in[i], wx);
-    sim_->SetInput(gen_.y_in[i], wy);
+                                 std::span<std::uint32_t>& out) {
+  if (out.size() < SamplesPerMultiplication() * xs.size()) {
+    throw std::logic_error("GateLevelCapture: sample buffer overrun");
   }
+  core::MmmcBatchSimDriver driver(gen_, *sim_);
   const auto record = [&] {
-    const auto& counts = sim_->ToggleCounts();
-    for (std::size_t lane = 0; lane < rows.size(); ++lane) {
-      rows[lane].push_back(static_cast<double>(counts[lane]));
-    }
+    std::copy_n(sim_->ToggleCounts().begin(), xs.size(), out.begin());
+    out = out.subspan(xs.size());
   };
-  sim_->SetInputAll(gen_.start, true);
-  sim_->Tick();  // START edge: operand load — sample 0 of this MMM
+  driver.Start(xs, ys);  // START edge: operand load — sample 0 of this MMM
   record();
-  sim_->SetInputAll(gen_.start, false);
-  const std::size_t budget = 8 * (gen_.l + 4);
-  std::size_t cycles = 1;
-  while (sim_->Peek(gen_.done) != rtl::BatchSimulator::kAllLanes) {
-    if (cycles >= budget) {
-      throw std::runtime_error("GateLevelCapture: DONE never arrived");
+  for (std::size_t cycle = 1; cycle < SamplesPerMultiplication(); ++cycle) {
+    if (driver.AllDone()) {
+      throw std::runtime_error("GateLevelCapture: DONE before 3l+4 cycles");
     }
-    sim_->Tick();
+    driver.Tick();
     record();
-    ++cycles;
+  }
+  if (!driver.AllDone()) {
+    throw std::runtime_error("GateLevelCapture: DONE never arrived");
   }
   // Drain OUT -> IDLE so the next START is sampled from IDLE.  The drain
   // edge is control-only housekeeping between multiplications and is not
   // part of any MMM's 3l+4-sample window.
-  sim_->Tick();
+  driver.Tick();
 }
 
-void GateLevelCapture::ApplyNoise(TraceSet& set) {
-  set.AddGaussianNoise(options_.noise_sigma, noise_rng_);
+template <typename RunPass>
+TraceSet GateLevelCapture::Capture(std::size_t count, std::size_t mmms,
+                                   RunPass run_pass) {
+  if (count == 0) return {};
+  const std::size_t samples = mmms * SamplesPerMultiplication();
+  std::vector<double> data(count * samples);
+  std::vector<std::uint32_t> pass(
+      samples * std::min(rtl::BatchSimulator::kLanes, count));
+  for (std::size_t at = 0; at < count; at += rtl::BatchSimulator::kLanes) {
+    const std::size_t n = std::min(rtl::BatchSimulator::kLanes, count - at);
+    std::span<std::uint32_t> out(pass.data(), samples * n);
+    run_pass(at, n, out);
+    if (!out.empty()) {
+      throw std::logic_error("GateLevelCapture: pass sample count mismatch");
+    }
+    // Sample-major (sample s of lane k at s*n + k) to row-major, in
+    // blocks of 64 samples so the reads stay in cache.
+    for (std::size_t s0 = 0; s0 < samples; s0 += 64) {
+      const std::size_t s1 = std::min(samples, s0 + 64);
+      for (std::size_t k = 0; k < n; ++k) {
+        double* row = data.data() + (at + k) * samples;
+        for (std::size_t s = s0; s < s1; ++s) row[s] = pass[s * n + k];
+      }
+    }
+  }
+  TraceSet out(count, samples, std::move(data));
+  out.AddGaussianNoise(options_.noise_sigma, noise_rng_);
+  return out;
 }
 
 TraceSet GateLevelCapture::CaptureMultiplications(
@@ -261,20 +282,13 @@ TraceSet GateLevelCapture::CaptureMultiplications(
           "GateLevelCapture::CaptureMultiplications: operand outside window");
     }
   }
-  TraceSet out;
   std::vector<BigUInt> chunk_x, chunk_y;
-  for (std::size_t at = 0; at < xs.size();
-       at += rtl::BatchSimulator::kLanes) {
-    const std::size_t n =
-        std::min(rtl::BatchSimulator::kLanes, xs.size() - at);
+  return Capture(xs.size(), 1, [&](std::size_t at, std::size_t n,
+                                   std::span<std::uint32_t>& out) {
     chunk_x.assign(xs.begin() + at, xs.begin() + at + n);
     chunk_y.assign(ys.begin() + at, ys.begin() + at + n);
-    std::vector<std::vector<double>> rows(n);
-    RunOneMmm(chunk_x, chunk_y, rows);
-    for (const auto& row : rows) out.Append(row);
-  }
-  ApplyNoise(out);
-  return out;
+    RunOneMmm(chunk_x, chunk_y, out);
+  });
 }
 
 TraceSet GateLevelCapture::CaptureModExps(std::span<const BigUInt> bases,
@@ -293,20 +307,17 @@ TraceSet GateLevelCapture::CaptureModExps(std::span<const BigUInt> bases,
           "GateLevelCapture::CaptureModExps: base must be < modulus");
     }
   }
-  TraceSet out;
-  const BigUInt one{1};
-  for (std::size_t at = 0; at < bases.size();
-       at += rtl::BatchSimulator::kLanes) {
-    const std::size_t n =
-        std::min(rtl::BatchSimulator::kLanes, bases.size() - at);
-    std::vector<std::vector<double>> rows(n);
+  // pre-computation + (bits-1) squarings + (popcount-1) multiplies + post
+  const std::size_t mmms = exponent.BitLength() + exponent.PopCount();
+  return Capture(bases.size(), mmms, [&](std::size_t at, std::size_t n,
+                                         std::span<std::uint32_t>& out) {
     std::vector<BigUInt> x(n), y(n);
     // Pre-computation: M~ = Mont(M, R^2) — §4.5's first MMM.
     for (std::size_t k = 0; k < n; ++k) {
       x[k] = bases[at + k];
       y[k] = ctx_.RSquaredModN();
     }
-    RunOneMmm(x, y, rows);
+    RunOneMmm(x, y, out);
     std::vector<BigUInt> m_mont(n), a(n);
     for (std::size_t k = 0; k < n; ++k) {
       m_mont[k] = LaneResult(k);
@@ -315,20 +326,17 @@ TraceSet GateLevelCapture::CaptureModExps(std::span<const BigUInt> bases,
     // Left-to-right scan: every intermediate feeds back from the device's
     // own RESULT bus, so the traces are of a self-contained execution.
     for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-      RunOneMmm(a, a, rows);
+      RunOneMmm(a, a, out);
       for (std::size_t k = 0; k < n; ++k) a[k] = LaneResult(k);
       if (exponent.Bit(i)) {
-        RunOneMmm(a, m_mont, rows);
+        RunOneMmm(a, m_mont, out);
         for (std::size_t k = 0; k < n; ++k) a[k] = LaneResult(k);
       }
     }
     // Post-processing: Mont(A, 1) strips R.
-    for (std::size_t k = 0; k < n; ++k) y[k] = one;
-    RunOneMmm(a, y, rows);
-    for (const auto& row : rows) out.Append(row);
-  }
-  ApplyNoise(out);
-  return out;
+    std::fill(y.begin(), y.end(), BigUInt{1});
+    RunOneMmm(a, y, out);
+  });
 }
 
 }  // namespace mont::sca

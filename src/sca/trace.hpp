@@ -38,6 +38,9 @@ namespace mont::sca {
 class TraceSet {
  public:
   TraceSet() = default;
+  /// Takes ownership of `data`: `count` traces of `samples` samples,
+  /// row-major (std::invalid_argument unless data.size() == count*samples).
+  TraceSet(std::size_t count, std::size_t samples, std::vector<double> data);
 
   std::size_t Count() const { return count_; }
   std::size_t Samples() const { return samples_; }
@@ -135,7 +138,7 @@ class GateLevelCapture {
   const bignum::BigUInt& Modulus() const { return modulus_; }
   const CaptureOptions& Options() const { return options_; }
   /// Nets contributing to each power sample.
-  std::size_t TrackedNetCount() const { return tracked_net_count_; }
+  std::size_t TrackedNetCount() const { return sim_->TrackedNetCount(); }
   /// Samples one multiplication contributes: the paper's 3l+4 cycles,
   /// from the START edge (operand load) to DONE inclusive.
   std::size_t SamplesPerMultiplication() const { return 3 * gen_.l + 4; }
@@ -161,21 +164,27 @@ class GateLevelCapture {
   const bignum::BitSerialMontgomery& Context() const { return ctx_; }
 
  private:
-  /// Presents per-lane operands, pulses START, and appends one sample per
-  /// clock edge (START..DONE) to each lane's row; drains OUT afterwards.
+  /// The one capture path: `count` executions of `mmms` multiplications
+  /// each, 64 per simulation pass.  run_pass(at, n, out) issues the
+  /// multiplications of executions [at, at+n) through RunOneMmm.  Samples
+  /// land in one sample-major buffer sized from the schedule and are
+  /// transposed once per pass into the row-major result.
+  template <typename RunPass>
+  TraceSet Capture(std::size_t count, std::size_t mmms, RunPass run_pass);
+  /// Presents per-lane operands, pulses START, and writes one sample per
+  /// lane per clock edge (START..DONE, 3l+4 edges) to the front of `out`,
+  /// which it advances past them; drains OUT afterwards.
   void RunOneMmm(const std::vector<bignum::BigUInt>& xs,
                  const std::vector<bignum::BigUInt>& ys,
-                 std::vector<std::vector<double>>& rows);
+                 std::span<std::uint32_t>& out);
   /// Result of the completed multiplication on `lane`.
   bignum::BigUInt LaneResult(std::size_t lane) const;
-  void ApplyNoise(TraceSet& set);
 
   CaptureOptions options_;
   bignum::BigUInt modulus_;
   core::MmmcNetlist gen_;
   std::unique_ptr<rtl::BatchSimulator> sim_;
   bignum::BitSerialMontgomery ctx_;
-  std::size_t tracked_net_count_ = 0;
   bignum::Xoshiro256 noise_rng_;
 };
 

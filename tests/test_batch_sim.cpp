@@ -4,10 +4,13 @@
 // netlists exercising all node kinds, over the generated MMMC circuit,
 // and under per-lane fault injection.  Plus the campaign equivalence:
 // a lane-parallel fault campaign reports fault-for-fault the same
-// FaultCoverage as the sequential one.
+// FaultCoverage as the sequential one.  And the toggle counters: every
+// ToggleCounts() equals an oracle that diffs full net snapshots bit by bit.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <memory>
 #include <random>
 #include <vector>
@@ -413,6 +416,151 @@ TEST(BatchSim, SettleSkipPreservesSemantics) {
   sim.Tick();
   EXPECT_EQ(sim.Peek(q), BatchSimulator::kAllLanes);
   EXPECT_EQ(sim.Peek(out), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Toggle accounting against an independent oracle
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint64_t> SnapshotWords(const BatchSimulator& sim,
+                                         std::size_t net_count) {
+  std::vector<std::uint64_t> words(net_count);
+  for (NetId id = 0; id < net_count; ++id) words[id] = sim.Peek(id);
+  return words;
+}
+
+/// Per-lane count of tracked nets whose value differs between two
+/// snapshots, by plain bit tests (a net listed twice counts twice).
+std::array<std::uint32_t, kLanes> OracleToggles(
+    const std::vector<std::uint64_t>& before,
+    const std::vector<std::uint64_t>& after,
+    const std::vector<NetId>& tracked) {
+  std::array<std::uint32_t, kLanes> counts{};
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (const NetId id : tracked) {
+      if ((((before[id] ^ after[id]) >> lane) & 1u) != 0) ++counts[lane];
+    }
+  }
+  return counts;
+}
+
+/// Drives random words into every primary input for `cycles` edges and
+/// checks every Tick()'s ToggleCounts() against the oracle.  `tracked`
+/// empty-optional means "every net" (the no-argument overload).  With
+/// `faults`, a few random nets are faulted on random lanes first.
+void CheckTogglesAgainstOracle(const Netlist& nl,
+                               const std::optional<std::vector<NetId>>& tracked,
+                               bool faults, std::mt19937_64& rng,
+                               int cycles) {
+  SCOPED_TRACE((tracked ? "subset of " + std::to_string(tracked->size())
+                        : std::string("all nets")) +
+               (faults ? ", faulted" : ""));
+  const std::size_t net_count = nl.NodeCount();
+  std::vector<NetId> oracle_nets;
+  BatchSimulator sim(nl);
+  if (faults) {
+    std::vector<BatchSimulator::LaneFault> population;
+    for (int i = 0; i < 6; ++i) {
+      population.push_back({static_cast<NetId>(rng() % net_count),
+                            static_cast<FaultType>(rng() % 3), rng()});
+    }
+    sim.InjectFaults(population);
+  }
+  if (tracked.has_value()) {
+    sim.EnableToggleCapture(*tracked);
+    oracle_nets = *tracked;
+  } else {
+    sim.EnableToggleCapture();
+    for (NetId id = 0; id < net_count; ++id) oracle_nets.push_back(id);
+  }
+  ASSERT_EQ(sim.TrackedNetCount(), oracle_nets.size());
+  std::vector<std::uint64_t> before = SnapshotWords(sim, net_count);
+  std::uint64_t total = 0;
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (const auto& [input, name] : nl.Inputs()) sim.SetInput(input, rng());
+    sim.Tick();
+    const std::vector<std::uint64_t> after = SnapshotWords(sim, net_count);
+    const auto expected = OracleToggles(before, after, oracle_nets);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      ASSERT_EQ(sim.ToggleCounts()[lane], expected[lane])
+          << "cycle " << cycle << " lane " << lane;
+      total += expected[lane];
+    }
+    before = after;
+  }
+  if (!tracked.has_value()) {
+    EXPECT_GT(total, 0u) << "the stimulus must make the circuit switch";
+  }
+}
+
+/// The tracked-set shapes the counter must get right: empty, a single
+/// net, one short of / exactly / one past a 16-net carry-save block, two
+/// blocks plus one, every net, and a subset listing a net twice.
+std::vector<std::optional<std::vector<NetId>>> TrackedSets(
+    std::size_t net_count, std::mt19937_64& rng) {
+  std::vector<std::optional<std::vector<NetId>>> sets;
+  for (const std::size_t size : {0, 1, 15, 16, 17, 33}) {
+    std::vector<NetId> nets;
+    for (std::size_t i = 0; i < size; ++i) {
+      nets.push_back(static_cast<NetId>(rng() % net_count));
+    }
+    sets.emplace_back(nets);
+  }
+  sets.emplace_back(std::nullopt);
+  std::vector<NetId> with_duplicate;
+  for (std::size_t i = 0; i < 20; ++i) {
+    with_duplicate.push_back(static_cast<NetId>(rng() % net_count));
+  }
+  with_duplicate.push_back(with_duplicate[3]);
+  with_duplicate.push_back(with_duplicate[3]);
+  sets.emplace_back(with_duplicate);
+  return sets;
+}
+
+TEST(BatchToggles, CountsMatchSnapshotOracleOnSmallNetlist) {
+  std::mt19937_64 rng(mont::test::TestSeed());
+  const RandomNetlist rn = BuildRandomNetlist(rng, /*n_inputs=*/6,
+                                              /*n_dffs=*/8, /*n_gates=*/80);
+  for (const auto& tracked : TrackedSets(rn.netlist.NodeCount(), rng)) {
+    for (const bool faults : {false, true}) {
+      CheckTogglesAgainstOracle(rn.netlist, tracked, faults, rng, 24);
+    }
+  }
+}
+
+TEST(BatchToggles, CountsMatchSnapshotOracleOnMmmc64) {
+  std::mt19937_64 rng(mont::test::TestSeed(1));
+  const auto gen = core::BuildMmmcNetlist(64);
+  for (const auto& tracked : TrackedSets(gen.netlist->NodeCount(), rng)) {
+    for (const bool faults : {false, true}) {
+      CheckTogglesAgainstOracle(*gen.netlist, tracked, faults, rng, 12);
+    }
+  }
+}
+
+// An empty selection tracks nothing; only the no-argument overload tracks
+// every net.
+TEST(BatchToggles, EmptySelectionTracksNothing) {
+  const auto gen = core::BuildMmmcNetlist(8);
+  BatchSimulator sim(*gen.netlist);
+  sim.EnableToggleCapture(std::span<const NetId>{});
+  EXPECT_TRUE(sim.ToggleCaptureEnabled());
+  EXPECT_EQ(sim.TrackedNetCount(), 0u);
+  sim.SetInputAll(gen.start, true);
+  sim.Tick();
+  sim.Tick();
+  for (const std::uint32_t count : sim.ToggleCounts()) EXPECT_EQ(count, 0u);
+
+  sim.EnableToggleCapture();
+  EXPECT_EQ(sim.TrackedNetCount(), gen.netlist->NodeCount());
+  sim.SetInputAll(gen.start, false);
+  sim.Tick();
+  EXPECT_GT(sim.ToggleCounts()[0], 0u);
+  sim.DisableToggleCapture();
+  EXPECT_EQ(sim.TrackedNetCount(), 0u);
+  EXPECT_THROW(sim.EnableToggleCapture(std::vector<NetId>{
+                   static_cast<NetId>(gen.netlist->NodeCount())}),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bignum/random.hpp"
@@ -198,6 +200,86 @@ TEST(GateLevelCapture, BatchedModExpLanesMatchScalarCapture) {
       ASSERT_DOUBLE_EQ(batch.At(lane, s), solo.At(0, s));
     }
   }
+}
+
+// Capture layout: a capture of more than 64 executions is its 64-lane
+// passes laid end to end, row by row, and a noisy capture is the
+// noise-free one plus the seeded noise stream drawn in row-major order.
+
+TraceSet Concatenate(const std::vector<TraceSet>& parts) {
+  TraceSet out;
+  for (const TraceSet& part : parts) {
+    for (std::size_t t = 0; t < part.Count(); ++t) out.Append(part.Trace(t));
+  }
+  return out;
+}
+
+void ExpectSameTraces(const TraceSet& a, const TraceSet& b) {
+  ASSERT_EQ(a.Count(), b.Count());
+  ASSERT_EQ(a.Samples(), b.Samples());
+  for (std::size_t t = 0; t < a.Count(); ++t) {
+    for (std::size_t s = 0; s < a.Samples(); ++s) {
+      ASSERT_EQ(a.At(t, s), b.At(t, s)) << "trace " << t << " sample " << s;
+    }
+  }
+}
+
+TEST(GateLevelCapture, ModExpCaptureIsItsPassesConcatenated) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(12);
+  const BigUInt d = rng.ExactBits(8);
+  const auto bases = RandomBases(rng, n, 130);  // passes of 64, 64 and 2
+  GateLevelCapture whole(n);
+  const TraceSet all = whole.CaptureModExps(bases, d);
+  // Chunk by chunk on one instance, so each pass starts from the state
+  // the previous pass left behind, exactly as inside the whole capture.
+  GateLevelCapture chunked(n);
+  std::vector<TraceSet> parts;
+  for (const auto& [at, count] : {std::pair<std::size_t, std::size_t>{0, 64},
+                                  {64, 64}, {128, 2}}) {
+    parts.push_back(chunked.CaptureModExps(
+        std::span<const BigUInt>(bases).subspan(at, count), d));
+  }
+  ExpectSameTraces(all, Concatenate(parts));
+}
+
+TEST(GateLevelCapture, MultiplicationCaptureWithPartialLastPass) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(14);
+  const auto xs = RandomBases(rng, n << 1, 70);  // passes of 64 and 6
+  const auto ys = RandomBases(rng, n << 1, 70);
+  GateLevelCapture whole(n);
+  const TraceSet all = whole.CaptureMultiplications(xs, ys);
+  GateLevelCapture chunked(n);
+  const std::span<const BigUInt> x(xs), y(ys);
+  const TraceSet first =
+      chunked.CaptureMultiplications(x.first(64), y.first(64));
+  const TraceSet last =
+      chunked.CaptureMultiplications(x.subspan(64), y.subspan(64));
+  ExpectSameTraces(all, Concatenate({first, last}));
+}
+
+TEST(GateLevelCapture, NoisyCaptureIsNoiseFreePlusSeededNoise) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(12);
+  const BigUInt d = rng.ExactBits(8);
+  const auto bases = RandomBases(rng, n, 130);
+  CaptureOptions noisy_options;
+  noisy_options.noise_sigma = 1.5;
+  noisy_options.noise_seed = 0xfeed;
+  GateLevelCapture noisy(n, noisy_options);
+  GateLevelCapture clean(n);
+  TraceSet expected = clean.CaptureModExps(bases, d);
+  expected.AddGaussianNoise(noisy_options.noise_sigma,
+                            noisy_options.noise_seed);
+  ExpectSameTraces(noisy.CaptureModExps(bases, d), expected);
+}
+
+TEST(TraceSet, AdoptedStorageMustMatchShape) {
+  const TraceSet set(2, 3, {1, 2, 3, 4, 5, 6});
+  EXPECT_EQ(set.Count(), 2u);
+  EXPECT_DOUBLE_EQ(set.At(1, 0), 4.0);
+  EXPECT_THROW(TraceSet(2, 3, std::vector<double>(5)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
