@@ -148,15 +148,8 @@ class MmmcBatchSimDriver {
       throw std::invalid_argument(
           "MmmcBatchSimDriver::Start: need equal operand counts <= 64");
     }
-    for (std::size_t i = 0; i < gen_.x_in.size(); ++i) {
-      std::uint64_t wx = 0, wy = 0;
-      for (std::size_t lane = 0; lane < xs.size(); ++lane) {
-        if (xs[lane].Bit(i)) wx |= std::uint64_t{1} << lane;
-        if (ys[lane].Bit(i)) wy |= std::uint64_t{1} << lane;
-      }
-      sim_.SetInput(gen_.x_in[i], wx);
-      sim_.SetInput(gen_.y_in[i], wy);
-    }
+    sim_.SetInputWideLanes(gen_.x_in, xs);
+    sim_.SetInputWideLanes(gen_.y_in, ys);
     sim_.SetInputAll(gen_.start, true);
     sim_.Tick();
     sim_.SetInputAll(gen_.start, false);
@@ -190,12 +183,7 @@ class MmmcBatchSimDriver {
       sim_.Tick();
       ++cycles;
     }
-    if (out != nullptr) {
-      out->clear();
-      for (std::size_t lane = 0; lane < xs.size(); ++lane) {
-        out->push_back(Result(lane));
-      }
-    }
+    if (out != nullptr) *out = sim_.PeekWideLanes(gen_.result, xs.size());
     if (cycles_taken != nullptr) *cycles_taken = cycles;
     sim_.Tick();  // drain OUT -> IDLE
     return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace mont::rtl {
@@ -21,6 +22,7 @@ void BatchSimulator::Init() {
   words_[compiled_.OnesSlot()] = kAllLanes;
   for (const NetId id : compiled_.Const1Nets()) words_[id] = kAllLanes;
   next_state_.assign(compiled_.Dffs().size(), 0);
+  active_groups_.reserve(compiled_.LatchGroups().size());
   dirty_ = true;
   Settle();
 }
@@ -63,40 +65,58 @@ std::uint64_t BatchSimulator::RawOf(NetId net) const {
   return words_[net];
 }
 
+namespace {
+
+/// out[i] = f(a[i], b[i], c[i]) over instructions [begin, end) of one run.
+/// Nothing in a run reads the run's own outputs, so the loop carries no
+/// dependence from one instruction to the next.
+template <typename F>
+void EvalRun(std::uint64_t* w, const std::uint32_t* as,
+                    const std::uint32_t* bs, const std::uint32_t* cs,
+                    const NetId* outs, std::uint32_t begin, std::uint32_t end,
+                    F f) {
+  for (std::uint32_t i = begin; i < end; ++i) {
+    w[outs[i]] = f(w[as[i]], w[bs[i]], w[cs[i]]);
+  }
+}
+
+}  // namespace
+
 template <bool kHasCombFaults>
 void BatchSimulator::SettleStream() {
-  const Op* ops = compiled_.OpStream().data();
   const std::uint32_t* as = compiled_.AStream().data();
   const std::uint32_t* bs = compiled_.BStream().data();
   const std::uint32_t* cs = compiled_.CStream().data();
   const NetId* outs = compiled_.OutStream().data();
   std::uint64_t* w = words_.data();
   auto fault = comb_faults_.cbegin();
-  const std::size_t n = compiled_.InstructionCount();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t a = w[as[i]];
-    const std::uint64_t b = w[bs[i]];
-    std::uint64_t out = 0;
-    switch (ops[i]) {
-      case Op::kBuf: out = a; break;
-      case Op::kNot: out = ~a; break;
-      case Op::kAnd: out = a & b; break;
-      case Op::kOr: out = a | b; break;
-      case Op::kXor: out = a ^ b; break;
-      case Op::kNand: out = ~(a & b); break;
-      case Op::kNor: out = ~(a | b); break;
-      case Op::kXnor: out = ~(a ^ b); break;
-      case Op::kMux: out = (a & w[cs[i]]) | (~a & b); break;
-      default: continue;  // unreachable: the stream is purely combinational
+  for (const CompiledNetlist::Run& run : compiled_.Runs()) {
+    const auto eval = [&](auto f) {
+      EvalRun(w, as, bs, cs, outs, run.begin, run.end, f);
+    };
+    using W = std::uint64_t;
+    switch (run.op) {
+      case Op::kBuf: eval([](W a, W, W) { return a; }); break;
+      case Op::kNot: eval([](W a, W, W) { return ~a; }); break;
+      case Op::kAnd: eval([](W a, W b, W) { return a & b; }); break;
+      case Op::kOr: eval([](W a, W b, W) { return a | b; }); break;
+      case Op::kXor: eval([](W a, W b, W) { return a ^ b; }); break;
+      case Op::kNand: eval([](W a, W b, W) { return ~(a & b); }); break;
+      case Op::kNor: eval([](W a, W b, W) { return ~(a | b); }); break;
+      case Op::kXnor: eval([](W a, W b, W) { return ~(a ^ b); }); break;
+      case Op::kMux:
+        eval([](W a, W b, W c) { return (a & c) | (~a & b); });
+        break;
+      default: break;  // unreachable: the stream is purely combinational
     }
     if constexpr (kHasCombFaults) {
-      if (fault != comb_faults_.cend() &&
-          fault->first == static_cast<std::uint32_t>(i)) {
+      // Exact although applied after the run: no gate of the run reads
+      // another's output, and later runs see the overridden value.
+      for (; fault != comb_faults_.cend() && fault->first < run.end; ++fault) {
+        std::uint64_t& out = w[outs[fault->first]];
         out = ApplyMasks(fault->second, out);
-        ++fault;
       }
     }
-    w[outs[i]] = out;
   }
 }
 
@@ -113,34 +133,47 @@ void BatchSimulator::Settle() {
 void BatchSimulator::Tick() {
   Settle();
   const std::vector<CompiledNetlist::Dff>& dffs = compiled_.Dffs();
+  std::uint64_t* w = words_.data();
   // Phase 1: every DFF samples from the settled pre-edge values, all lanes
-  // at once: next = reset ? 0 : (enable ? d : q).
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const CompiledNetlist::Dff& dff = dffs[i];
-    const std::uint64_t q = words_[dff.q];
-    const std::uint64_t en = words_[dff.enable];
-    const std::uint64_t d = words_[dff.d];
-    next_state_[i] = ((en & d) | (~en & q)) & ~words_[dff.reset];
+  // at once: next = reset ? 0 : (enable ? d : q).  A latch group whose
+  // enable and reset are 0 on every lane holds its value, so it is
+  // neither computed nor committed.
+  active_groups_.clear();
+  const std::vector<CompiledNetlist::LatchGroup>& groups =
+      compiled_.LatchGroups();
+  for (std::uint32_t g = 0; g < groups.size(); ++g) {
+    const CompiledNetlist::LatchGroup& group = groups[g];
+    const std::uint64_t en = w[group.enable];
+    const std::uint64_t reset = w[group.reset];
+    if ((en | reset) == 0) continue;
+    active_groups_.push_back(g);
+    for (std::uint32_t i = group.begin; i < group.end; ++i) {
+      const CompiledNetlist::Dff& dff = dffs[i];
+      next_state_[i] = ((en & w[dff.d]) | (~en & w[dff.q])) & ~reset;
+    }
   }
   // Faulted flip-flops: the fault sits on the *output* net, not inside the
   // feedback path, so the hold path must recirculate the raw internal
   // state — otherwise an invert fault on a holding register would
   // oscillate.  Recompute those flip-flops from their retained raw value
-  // and expose the override.
+  // and expose the override.  In a held group that leaves raw, and so the
+  // exposed value, unchanged: only active groups need committing.
   for (const auto& [dff_index, fault_index] : dff_fault_hooks_) {
     const CompiledNetlist::Dff& dff = dffs[dff_index];
     SourceFault& sf = source_faults_[fault_index];
     const std::uint64_t q = sf.raw;
-    const std::uint64_t en = words_[dff.enable];
-    const std::uint64_t d = dff.d == dff.q ? q : words_[dff.d];
-    sf.raw = ((en & d) | (~en & q)) & ~words_[dff.reset];
+    const std::uint64_t en = w[dff.enable];
+    const std::uint64_t d = dff.d == dff.q ? q : w[dff.d];
+    sf.raw = ((en & d) | (~en & q)) & ~w[dff.reset];
     next_state_[dff_index] = ApplyMasks(sf.masks, sf.raw);
   }
   // Phase 2: commit simultaneously; re-settle only if any register moved.
   bool changed = false;
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    changed |= next_state_[i] != words_[dffs[i].q];
-    words_[dffs[i].q] = next_state_[i];
+  for (const std::uint32_t g : active_groups_) {
+    for (std::uint32_t i = groups[g].begin; i < groups[g].end; ++i) {
+      changed |= next_state_[i] != w[dffs[i].q];
+      w[dffs[i].q] = next_state_[i];
+    }
   }
   if (changed) {
     dirty_ = true;
@@ -185,68 +218,190 @@ void BatchSimulator::DisableToggleCapture() {
 
 namespace {
 
-/// Carry-save adder over 64 bit positions: high:low = a + b + c.
-void Csa(std::uint64_t& high, std::uint64_t& low, std::uint64_t a,
-         std::uint64_t b, std::uint64_t c) {
-  const std::uint64_t u = a ^ b;
-  high = (a & b) | (u & c);
+/// Two 64-lane words in one SSE2 register (GCC/Clang vector extension).
+using Word2 = std::uint64_t __attribute__((vector_size(16)));
+
+/// Four 64-lane words side by side — element j belongs to tree j of four
+/// interleaved Harley–Seal trees — held as a pair of 16-byte vectors.  A
+/// single 32-byte vector type would change the calling convention where
+/// AVX is off (GCC's -Wpsabi), and GCC 12 spills each load of one through
+/// the stack; the pair stays in SSE2 registers.
+struct Word4 {
+  Word2 lo{};
+  Word2 hi{};
+
+  void Load(const std::uint64_t* p) {
+    std::memcpy(&lo, p, sizeof lo);
+    std::memcpy(&hi, p + 2, sizeof hi);
+  }
+  void Store(std::uint64_t* p) const {
+    std::memcpy(p, &lo, sizeof lo);
+    std::memcpy(p + 2, &hi, sizeof hi);
+  }
+  std::uint64_t Tree(std::size_t j) const { return j < 2 ? lo[j] : hi[j - 2]; }
+  bool Any() const {
+    const Word2 both = lo | hi;
+    return (both[0] | both[1]) != 0;
+  }
+  Word4& operator^=(const Word4& o) {
+    lo ^= o.lo;
+    hi ^= o.hi;
+    return *this;
+  }
+  friend Word4 operator^(const Word4& a, const Word4& b) {
+    return {a.lo ^ b.lo, a.hi ^ b.hi};
+  }
+  friend Word4 operator&(const Word4& a, const Word4& b) {
+    return {a.lo & b.lo, a.hi & b.hi};
+  }
+  friend Word4 operator|(const Word4& a, const Word4& b) {
+    return {a.lo | b.lo, a.hi | b.hi};
+  }
+};
+
+/// Carry-save adder over every bit position: high:low = a + b + c.  `low`
+/// may alias an input.
+template <typename T>
+void Csa(T& high, T& low, const T& a, const T& b, const T& c) {
+  const T u = a ^ b;
+  const T carry = (a & b) | (u & c);
   low = u ^ c;
+  high = carry;
 }
 
-/// Counts, per lane, the words word(0..n-1) that differ from prev[0..n-1]
-/// and refreshes prev.  Vertical (bit-sliced) counters: plane p holds bit p
-/// of every lane's count.  Planes 0-3 are the Harley–Seal accumulators of a
-/// 16-input adder tree; each block of 16 XOR words leaves one word of
-/// sixteens, and only that carry ripples into the planes above.
-template <typename Word>
-void CountToggles(std::size_t n, Word word, std::uint64_t* prev,
+/// Vertical (bit-sliced) counters: plane p holds bit p of every lane's
+/// count.
+constexpr std::size_t kPlanes = 32;  // covers any NetId count
+
+/// kSpread[x] holds bit j of x in bit 0 of its byte j.
+constexpr std::array<std::uint64_t, 256> kSpread = [] {
+  std::array<std::uint64_t, 256> spread{};
+  for (std::size_t x = 0; x < 256; ++x) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      if ((x >> j) & 1u) spread[x] |= std::uint64_t{1} << (8 * j);
+    }
+  }
+  return spread;
+}();
+
+/// planes += carry << p.
+void Ripple(std::uint64_t* planes, std::size_t p, std::uint64_t carry) {
+  for (; carry != 0 && p < kPlanes; ++p) {
+    const std::uint64_t next = planes[p] & carry;
+    planes[p] ^= carry;
+    carry = next;
+  }
+}
+void Ripple(Word4* planes, std::size_t p, Word4 carry) {
+  for (; p < kPlanes && carry.Any(); ++p) {
+    const Word4 next = planes[p] & carry;
+    planes[p] ^= carry;
+    carry = next;
+  }
+}
+
+/// Counts, per lane, the tracked words that differ from prev[0..n-1] and
+/// refreshes prev.  The tracked words are w[0..n-1] (kAllNets) or
+/// w[nets[0..n-1]].  Four Harley–Seal trees run interleaved over blocks of
+/// 64 words, tree j taking the words at 4k + j: each block leaves one
+/// Word4 of sixteens, and only that carry ripples into the planes above
+/// the four accumulators.  The words past the last block ripple in four at
+/// a time, the four trees' counters are summed once, the last n % 4 words
+/// ripple in one at a time, and the planes are unpacked into counts.
+template <bool kAllNets>
+void CountToggles(std::size_t n, const std::uint64_t* w, const NetId* nets,
+                  std::uint64_t* prev,
                   std::array<std::uint32_t, BatchSimulator::kLanes>& counts) {
-  constexpr std::size_t kPlanes = 32;  // covers any NetId count
-  std::uint64_t planes[kPlanes] = {};
-  const auto ripple = [&planes](std::size_t p, std::uint64_t carry) {
-    for (; carry != 0 && p < kPlanes; ++p) {
-      const std::uint64_t next = planes[p] & carry;
-      planes[p] ^= carry;
-      carry = next;
+  const auto word = [w, nets](std::size_t i) {
+    if constexpr (kAllNets) {
+      return w[i];
+    } else {
+      return w[nets[i]];
     }
   };
-  const auto toggled = [&](std::size_t i) {
-    const std::uint64_t current = word(i);
-    const std::uint64_t changed = current ^ prev[i];
-    prev[i] = current;
-    return changed;
+  // x = words i..i+3 XOR their previous values; prev takes the words.
+  const auto toggled = [&](Word4& x, std::size_t i) {
+    if constexpr (kAllNets) {
+      x.Load(w + i);
+    } else {
+      x = {Word2{word(i), word(i + 1)}, Word2{word(i + 2), word(i + 3)}};
+    }
+    Word4 before;
+    before.Load(prev + i);
+    x.Store(prev + i);
+    x ^= before;
   };
-  std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+  Word4 planes4[kPlanes] = {};
+  Word4 ones, twos, fours, eights;
   std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    std::uint64_t twos_a = 0, twos_b = 0, fours_a = 0, fours_b = 0;
-    std::uint64_t eights_a = 0, eights_b = 0, sixteens = 0;
-    Csa(twos_a, ones, ones, toggled(i), toggled(i + 1));
-    Csa(twos_b, ones, ones, toggled(i + 2), toggled(i + 3));
+  for (; i + 64 <= n; i += 64) {
+    Word4 x0, x1, twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
+    Word4 sixteens;
+    const auto pair = [&](Word4& twos_out, std::size_t k) {
+      toggled(x0, i + 4 * k);
+      toggled(x1, i + 4 * k + 4);
+      Csa(twos_out, ones, ones, x0, x1);
+    };
+    pair(twos_a, 0);
+    pair(twos_b, 2);
     Csa(fours_a, twos, twos, twos_a, twos_b);
-    Csa(twos_a, ones, ones, toggled(i + 4), toggled(i + 5));
-    Csa(twos_b, ones, ones, toggled(i + 6), toggled(i + 7));
+    pair(twos_a, 4);
+    pair(twos_b, 6);
     Csa(fours_b, twos, twos, twos_a, twos_b);
     Csa(eights_a, fours, fours, fours_a, fours_b);
-    Csa(twos_a, ones, ones, toggled(i + 8), toggled(i + 9));
-    Csa(twos_b, ones, ones, toggled(i + 10), toggled(i + 11));
+    pair(twos_a, 8);
+    pair(twos_b, 10);
     Csa(fours_a, twos, twos, twos_a, twos_b);
-    Csa(twos_a, ones, ones, toggled(i + 12), toggled(i + 13));
-    Csa(twos_b, ones, ones, toggled(i + 14), toggled(i + 15));
+    pair(twos_a, 12);
+    pair(twos_b, 14);
     Csa(fours_b, twos, twos, twos_a, twos_b);
     Csa(eights_b, fours, fours, fours_a, fours_b);
     Csa(sixteens, eights, eights, eights_a, eights_b);
-    ripple(4, sixteens);
+    Ripple(planes4, 4, sixteens);
   }
-  planes[0] = ones;
-  planes[1] = twos;
-  planes[2] = fours;
-  planes[3] = eights;
-  for (; i < n; ++i) ripple(0, toggled(i));
-  counts.fill(0);
-  for (std::size_t p = 0; p < kPlanes; ++p) {
-    for (std::uint64_t lanes = planes[p]; lanes != 0; lanes &= lanes - 1) {
-      counts[std::countr_zero(lanes)] |= std::uint32_t{1} << p;
+  planes4[0] = ones;
+  planes4[1] = twos;
+  planes4[2] = fours;
+  planes4[3] = eights;
+  for (; i + 4 <= n; i += 4) {
+    Word4 x;
+    toggled(x, i);
+    Ripple(planes4, 0, x);
+  }
+  // Sum the trees with bit-sliced ripple-carry adds over the planes a
+  // count of at most n can occupy.
+  const std::size_t top =
+      std::min(kPlanes, static_cast<std::size_t>(std::bit_width(n)));
+  std::uint64_t planes[kPlanes] = {};
+  for (std::size_t tree = 0; tree < 4; ++tree) {
+    std::uint64_t carry = 0;
+    for (std::size_t p = 0; p < top; ++p) {
+      const std::uint64_t a = planes[p];
+      const std::uint64_t b = planes4[p].Tree(tree);
+      const std::uint64_t u = a ^ b;
+      planes[p] = u ^ carry;
+      carry = (a & b) | (u & carry);
+    }
+  }
+  for (; i < n; ++i) {
+    const std::uint64_t current = word(i);
+    Ripple(planes, 0, current ^ prev[i]);
+    prev[i] = current;
+  }
+  // Unpack eight lanes at a time, branch-free: bytes[g] holds, in its byte
+  // j, bits 8g..8g+7 of the count of lane 8b + j.
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::uint64_t bytes[kPlanes / 8] = {};
+    for (std::size_t p = 0; p < top; ++p) {
+      bytes[p / 8] |= kSpread[(planes[p] >> (8 * b)) & 0xff] << (p % 8);
+    }
+    for (std::size_t j = 0; j < 8; ++j) {
+      std::uint32_t count = 0;
+      for (std::size_t g = 0; 8 * g < top; ++g) {
+        const std::uint64_t byte = (bytes[g] >> (8 * j)) & 0xff;
+        count |= static_cast<std::uint32_t>(byte) << (8 * g);
+      }
+      counts[8 * b + j] = count;
     }
   }
 }
@@ -254,16 +409,13 @@ void CountToggles(std::size_t n, Word word, std::uint64_t* prev,
 }  // namespace
 
 void BatchSimulator::AccumulateToggles() {
-  const std::uint64_t* w = words_.data();
   if (toggle_all_nets_) {
-    CountToggles(
-        toggle_prev_.size(), [w](std::size_t i) { return w[i]; },
-        toggle_prev_.data(), toggle_counts_);
+    CountToggles<true>(toggle_prev_.size(), words_.data(), nullptr,
+                       toggle_prev_.data(), toggle_counts_);
   } else {
-    const NetId* nets = toggle_nets_.data();
-    CountToggles(
-        toggle_nets_.size(), [w, nets](std::size_t i) { return w[nets[i]]; },
-        toggle_prev_.data(), toggle_counts_);
+    CountToggles<false>(toggle_nets_.size(), words_.data(),
+                        toggle_nets_.data(), toggle_prev_.data(),
+                        toggle_counts_);
   }
 }
 
@@ -303,6 +455,78 @@ bignum::BigUInt BatchSimulator::PeekWide(const std::vector<NetId>& nets,
   bignum::BigUInt out;
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if ((words_[nets[i]] >> lane) & 1u) out.SetBit(i, true);
+  }
+  return out;
+}
+
+namespace {
+
+/// Bus bits [base, base + 64) of a value as one word.
+std::uint64_t BitsAt(const bignum::BigUInt& value, std::size_t base) {
+  static_assert(bignum::BigUInt::kLimbBits == 32);
+  const std::size_t limb = base / 32;
+  return value.LimbAt(limb) |
+         (std::uint64_t{value.LimbAt(limb + 1)} << 32);
+}
+
+/// In-place transpose of a 64x64 bit matrix: bit c of m[r] moves to bit r
+/// of m[c].  Six rounds of block swaps, halving the block size each time.
+void Transpose64(std::array<std::uint64_t, 64>& m) {
+  std::uint64_t mask = 0x00000000ffffffffull;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
+      m[k] ^= t << j;
+      m[k + j] ^= t;
+    }
+  }
+}
+
+}  // namespace
+
+void BatchSimulator::SetInputWideLanes(
+    const std::vector<NetId>& bus, std::span<const bignum::BigUInt> values) {
+  if (values.size() > kLanes) {
+    throw std::invalid_argument(
+        "BatchSimulator::SetInputWideLanes: more than 64 lane values");
+  }
+  std::array<std::uint64_t, 64> block;
+  for (std::size_t base = 0; base < bus.size(); base += 64) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      block[lane] = lane < values.size() ? BitsAt(values[lane], base) : 0;
+    }
+    Transpose64(block);  // block[i] = bus bit base + i, one bit per lane
+    for (std::size_t i = base; i < std::min(bus.size(), base + 64); ++i) {
+      SetInput(bus[i], block[i - base]);
+    }
+  }
+}
+
+std::vector<bignum::BigUInt> BatchSimulator::PeekWideLanes(
+    const std::vector<NetId>& nets, std::size_t lanes) const {
+  if (lanes > kLanes) {
+    throw std::out_of_range("BatchSimulator::PeekWideLanes: lane count");
+  }
+  // limbs[lane * stride ..] holds lane's value, two 32-bit limbs per word.
+  const std::size_t stride = 2 * ((nets.size() + 63) / 64);
+  std::vector<bignum::BigUInt::Limb> limbs(lanes * stride);
+  std::array<std::uint64_t, 64> block;
+  for (std::size_t base = 0; base < nets.size(); base += 64) {
+    for (std::size_t i = 0; i < 64; ++i) {
+      block[i] = base + i < nets.size() ? words_[nets[base + i]] : 0;
+    }
+    Transpose64(block);  // block[lane] = bus bits base.. of that lane
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      bignum::BigUInt::Limb* out = limbs.data() + lane * stride + base / 32;
+      out[0] = static_cast<bignum::BigUInt::Limb>(block[lane]);
+      out[1] = static_cast<bignum::BigUInt::Limb>(block[lane] >> 32);
+    }
+  }
+  std::vector<bignum::BigUInt> out;
+  out.reserve(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    out.push_back(bignum::BigUInt::FromLimbs(
+        std::span(limbs).subspan(lane * stride, stride)));
   }
   return out;
 }

@@ -13,6 +13,15 @@
 // skips provably no-op settle passes — in steady state a Tick() costs one
 // pass over the combinational stream, not the two the seed engine paid.
 //
+// A settle pass walks the compiled stream run by run (see compiled.hpp):
+// one dispatch per run, then a tight loop of a single op, with overrides
+// of faulted gates applied after the run that computes them.  The latch
+// phase goes latch group by latch group, and a group whose enable and
+// reset are 0 on every lane holds its value, so it is neither computed
+// nor committed.  On the 64-bit MMMC (1916 nets, 1066 gates, 653
+// flip-flops) a clock edge costs about 0.8 us of settle and 0.8 us of
+// latching on a 2.0 GHz Xeon.
+//
 // Fault semantics are per-lane and idempotent: a fault is an override mask
 // (stuck-at-0 / stuck-at-1 / invert) applied to a net's value, while the
 // underlying un-faulted ("raw") value of source nets is retained — so
@@ -59,6 +68,11 @@ class BatchSimulator {
   void SetInputAll(NetId input, bool value) {
     SetInput(input, value ? kAllLanes : 0);
   }
+  /// Drives a whole input bus (LSB first) on every lane at once: lane k
+  /// gets values[k] truncated to the bus width, lanes past values.size()
+  /// get 0.  Throws std::invalid_argument for more than 64 values.
+  void SetInputWideLanes(const std::vector<NetId>& bus,
+                         std::span<const bignum::BigUInt> values);
 
   // -- evaluation -------------------------------------------------------------
 
@@ -88,6 +102,10 @@ class BatchSimulator {
   /// Reads one lane of an arbitrarily wide bus (LSB first).
   bignum::BigUInt PeekWide(const std::vector<NetId>& nets,
                            std::size_t lane) const;
+  /// Reads lanes 0..lanes-1 of an arbitrarily wide bus (LSB first) in one
+  /// pass, one value per lane.  Throws std::out_of_range for lanes > 64.
+  std::vector<bignum::BigUInt> PeekWideLanes(const std::vector<NetId>& nets,
+                                             std::size_t lanes) const;
 
   // -- toggle accounting (power-trace capture hook) ---------------------------
   //
@@ -95,11 +113,15 @@ class BatchSimulator {
   // sample per clock cycle counting the nets whose value changed on that
   // edge, independently for each of the 64 lanes.  The accumulation is
   // bit-sliced (vertical counters) and carry-save: the nets' 64-lane XOR
-  // words enter a Harley–Seal adder tree sixteen at a time, so each net
-  // costs a handful of branch-free word ops instead of 64 popcounts.  On
-  // the 64-bit MMMC a full-net ModExp capture takes about 1.6x the time of
-  // plain simulation of the same multiplications (bench_sca's
-  // capture_overhead row; 1.58-1.83x over five runs, gated at 2.2x).
+  // words enter four interleaved Harley–Seal adder trees, sixteen words
+  // per tree at a time in SSE2 register pairs, so each net costs a
+  // fraction of a branch-free vector op instead of 64 popcounts, and the
+  // per-lane counts are unpacked eight lanes at a time through a spread
+  // table (about 1.0-1.4 us per edge over the 1916 nets of the 64-bit
+  // MMMC).  Plain simulation got cheaper still, so a full-net ModExp
+  // capture on that circuit takes about 1.9x the time of plain simulation
+  // of the same multiplications (bench_sca's capture_overhead row;
+  // 1.64-2.03x over five --smoke runs, gated at 2.2x).
 
   /// Enables per-cycle toggle accounting over every net of the circuit.
   /// The snapshot taken here is the baseline the next Tick()'s counts are
@@ -176,6 +198,8 @@ class BatchSimulator {
   const CompiledNetlist& compiled_;
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> next_state_;
+  /// Indices of the latch groups clocked on the current edge.
+  std::vector<std::uint32_t> active_groups_;
   std::uint64_t cycles_ = 0;
   bool dirty_ = true;
 

@@ -252,35 +252,46 @@ const std::vector<NetId>& Netlist::TopoOrder() const {
   topo_cache_.reserve(nodes_.size());
   // Kahn's algorithm restricted to combinational nodes; DFF outputs,
   // inputs and constants are sources whose values are known before
-  // combinational settling.
+  // combinational settling.  The fanout is one flat array: the consumers
+  // of net i sit at fanout[offsets[i] .. offsets[i + 1]), in NetId order
+  // (a node reading a net in two slots appears twice).
+  const auto comb_source = [this](NetId src) {
+    return src != kNoNet && IsCombinational(nodes_[src].op);
+  };
   std::vector<std::uint8_t> pending(nodes_.size(), 0);
-  std::vector<std::vector<NetId>> fanout(nodes_.size());
+  std::vector<std::uint32_t> offsets(nodes_.size() + 1, 0);
   std::vector<NetId> ready;
+  std::size_t comb_total = 0;
   for (NetId id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
     if (!IsCombinational(node.op)) continue;
+    ++comb_total;
     int deps = 0;
     for (const NetId src : {node.a, node.b, node.c}) {
-      if (src == kNoNet) continue;
-      if (IsCombinational(nodes_[src].op)) {
-        fanout[src].push_back(id);
-        ++deps;
-      }
+      if (!comb_source(src)) continue;
+      ++offsets[src + 1];
+      ++deps;
     }
     pending[id] = static_cast<std::uint8_t>(deps);
     if (deps == 0) ready.push_back(id);
+  }
+  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  std::vector<NetId> fanout(offsets.back());
+  std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
+  for (NetId id = 0; id < nodes_.size(); ++id) {
+    const Node& node = nodes_[id];
+    if (!IsCombinational(node.op)) continue;
+    for (const NetId src : {node.a, node.b, node.c}) {
+      if (comb_source(src)) fanout[fill[src]++] = id;
+    }
   }
   while (!ready.empty()) {
     const NetId id = ready.back();
     ready.pop_back();
     topo_cache_.push_back(id);
-    for (const NetId next : fanout[id]) {
-      if (--pending[next] == 0) ready.push_back(next);
+    for (std::uint32_t f = offsets[id]; f < offsets[id + 1]; ++f) {
+      if (--pending[fanout[f]] == 0) ready.push_back(fanout[f]);
     }
-  }
-  std::size_t comb_total = 0;
-  for (const Node& node : nodes_) {
-    if (IsCombinational(node.op)) ++comb_total;
   }
   if (topo_cache_.size() != comb_total) {
     throw std::logic_error("Netlist: combinational cycle detected");

@@ -204,8 +204,8 @@ GateLevelCapture::GateLevelCapture(BigUInt modulus,
   }
 }
 
-BigUInt GateLevelCapture::LaneResult(std::size_t lane) const {
-  return sim_->PeekWide(gen_.result, lane);
+std::vector<BigUInt> GateLevelCapture::LaneResults(std::size_t lanes) const {
+  return sim_->PeekWideLanes(gen_.result, lanes);
 }
 
 void GateLevelCapture::RunOneMmm(const std::vector<BigUInt>& xs,
@@ -318,19 +318,16 @@ TraceSet GateLevelCapture::CaptureModExps(std::span<const BigUInt> bases,
       y[k] = ctx_.RSquaredModN();
     }
     RunOneMmm(x, y, out);
-    std::vector<BigUInt> m_mont(n), a(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      m_mont[k] = LaneResult(k);
-      a[k] = m_mont[k];
-    }
+    const std::vector<BigUInt> m_mont = LaneResults(n);
+    std::vector<BigUInt> a = m_mont;
     // Left-to-right scan: every intermediate feeds back from the device's
     // own RESULT bus, so the traces are of a self-contained execution.
     for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
       RunOneMmm(a, a, out);
-      for (std::size_t k = 0; k < n; ++k) a[k] = LaneResult(k);
+      a = LaneResults(n);
       if (exponent.Bit(i)) {
         RunOneMmm(a, m_mont, out);
-        for (std::size_t k = 0; k < n; ++k) a[k] = LaneResult(k);
+        a = LaneResults(n);
       }
     }
     // Post-processing: Mont(A, 1) strips R.

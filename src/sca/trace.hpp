@@ -177,8 +177,8 @@ class GateLevelCapture {
   void RunOneMmm(const std::vector<bignum::BigUInt>& xs,
                  const std::vector<bignum::BigUInt>& ys,
                  std::span<std::uint32_t>& out);
-  /// Result of the completed multiplication on `lane`.
-  bignum::BigUInt LaneResult(std::size_t lane) const;
+  /// Results of the completed multiplication on lanes 0..lanes-1.
+  std::vector<bignum::BigUInt> LaneResults(std::size_t lanes) const;
 
   CaptureOptions options_;
   bignum::BigUInt modulus_;

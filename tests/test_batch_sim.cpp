@@ -2,14 +2,19 @@
 // of a BatchSimulator must match a scalar Simulator driven with that
 // lane's stimulus net-for-net after every clock edge — over random
 // netlists exercising all node kinds, over the generated MMMC circuit,
-// and under per-lane fault injection.  Plus the campaign equivalence:
-// a lane-parallel fault campaign reports fault-for-fault the same
-// FaultCoverage as the sequential one.  And the toggle counters: every
+// and under per-lane fault injection.  Since the scalar Simulator is a
+// one-lane view of the same engine, every lane is also checked against an
+// independent walker over the Netlist graph itself.  Plus the campaign
+// equivalence: a lane-parallel fault campaign reports fault-for-fault the
+// same FaultCoverage as the sequential one; the compiled stream's layout
+// (runs, latch groups, topological order); and the toggle counters: every
 // ToggleCounts() equals an oracle that diffs full net snapshots bit by bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <memory>
 #include <random>
@@ -38,13 +43,17 @@ constexpr std::size_t kLanes = BatchSimulator::kLanes;
 
 struct RandomNetlist {
   Netlist netlist;
-  std::vector<NetId> inputs;
+  std::vector<NetId> inputs;    ///< every primary input, controls included
+  std::vector<NetId> controls;  ///< the inputs shared as enables/resets
 };
 
 /// A random sequential netlist covering every node kind: a pool of inputs
 /// and constants, a soup of random gates over earlier nets (acyclic by
 /// construction), and DFFs with random enable/reset wired after the fact
-/// so state feedback loops occur.
+/// so state feedback loops occur.  Most DFFs share their enable and reset
+/// with others: two enable inputs, a gate gated by the first of them, and
+/// one reset input — so a test that drives the controls to 0 holds whole
+/// latch groups.
 RandomNetlist BuildRandomNetlist(std::mt19937_64& rng, std::size_t n_inputs,
                                  std::size_t n_dffs, std::size_t n_gates) {
   RandomNetlist out;
@@ -54,6 +63,11 @@ RandomNetlist BuildRandomNetlist(std::mt19937_64& rng, std::size_t n_inputs,
     const NetId id = nl.AddInput(IndexedName("in", i));
     out.inputs.push_back(id);
     pool.push_back(id);
+  }
+  for (const char* name : {"en0", "en1", "rst0"}) {
+    const NetId id = nl.AddInput(name);
+    out.inputs.push_back(id);
+    out.controls.push_back(id);
   }
   std::vector<NetId> dffs;
   for (std::size_t i = 0; i < n_dffs; ++i) {
@@ -77,9 +91,22 @@ RandomNetlist BuildRandomNetlist(std::mt19937_64& rng, std::size_t n_inputs,
     }
     pool.push_back(id);
   }
+  const std::vector<NetId> enables = {out.controls[0], out.controls[1],
+                                      nl.And(out.controls[0], pick())};
+  const NetId shared_reset = out.controls[2];
   for (const NetId dff : dffs) {
-    const NetId enable = rng() % 3 == 0 ? pick() : kNoNet;
-    const NetId reset = rng() % 4 == 0 ? pick() : kNoNet;
+    NetId enable = kNoNet;
+    switch (rng() % 4) {
+      case 0: break;
+      case 1: enable = pick(); break;
+      default: enable = enables[rng() % enables.size()]; break;
+    }
+    NetId reset = kNoNet;
+    switch (rng() % 4) {
+      case 0: reset = shared_reset; break;
+      case 1: reset = pick(); break;
+      default: break;
+    }
     nl.RewireDff(dff, pick(), enable, reset);
   }
   return out;
@@ -236,6 +263,189 @@ TEST(BatchFaults, FaultedDffStateMatchesScalarPerLane) {
 }
 
 // ---------------------------------------------------------------------------
+// An independent evaluation oracle
+// ---------------------------------------------------------------------------
+
+/// One lane of the circuit evaluated straight from the netlist: one bool
+/// per net, Netlist::TopoOrder() and NodeAt(), no compiled form.  Faults
+/// follow the engine's contract: the override (stuck-at-0/1 or invert)
+/// applies to the net's value wherever it is read, and a faulted
+/// flip-flop keeps its un-faulted state, which is what its hold path
+/// recirculates.
+class ReferenceLane {
+ public:
+  explicit ReferenceLane(const Netlist& nl)
+      : nl_(nl), value_(nl.NodeCount()), raw_(nl.NodeCount()) {
+    for (NetId id = 0; id < nl.NodeCount(); ++id) {
+      raw_[id] = nl.NodeAt(id).op == Op::kConst1;
+    }
+  }
+
+  void SetInput(NetId input, bool value) { raw_[input] = value; }
+  /// The last fault injected on a net wins.
+  void InjectFault(NetId net, FaultType type) { faults_[net] = type; }
+  bool Value(NetId net) const { return value_[net]; }
+
+  void Settle() {
+    for (NetId id = 0; id < nl_.NodeCount(); ++id) {
+      if (!IsCombinational(nl_.NodeAt(id).op)) {
+        value_[id] = Faulted(id, raw_[id]);
+      }
+    }
+    for (const NetId id : nl_.TopoOrder()) {
+      const Node& node = nl_.NodeAt(id);
+      const bool a = Read(node.a), b = Read(node.b), c = Read(node.c);
+      bool out = false;
+      switch (node.op) {
+        case Op::kBuf: out = a; break;
+        case Op::kNot: out = !a; break;
+        case Op::kAnd: out = a && b; break;
+        case Op::kOr: out = a || b; break;
+        case Op::kXor: out = a != b; break;
+        case Op::kNand: out = !(a && b); break;
+        case Op::kNor: out = !(a || b); break;
+        case Op::kXnor: out = a == b; break;
+        case Op::kMux: out = a ? c : b; break;
+        default: ADD_FAILURE() << "source node in TopoOrder"; break;
+      }
+      value_[id] = Faulted(id, out);
+    }
+  }
+
+  /// Settle, latch every flip-flop at once, settle again.
+  void Tick() {
+    Settle();
+    std::vector<bool> next = raw_;
+    for (NetId id = 0; id < nl_.NodeCount(); ++id) {
+      const Node& node = nl_.NodeAt(id);
+      if (node.op != Op::kDff) continue;
+      const bool q = raw_[id];
+      const bool d = node.a == kNoNet || node.a == id ? q : value_[node.a];
+      const bool enable = node.b == kNoNet || value_[node.b];
+      const bool reset = node.c != kNoNet && value_[node.c];
+      next[id] = !reset && (enable ? d : q);
+    }
+    raw_ = std::move(next);
+    Settle();
+  }
+
+ private:
+  /// An absent operand reads 0.
+  bool Read(NetId net) const { return net != kNoNet && value_[net]; }
+  bool Faulted(NetId net, bool v) const {
+    const auto it = faults_.find(net);
+    if (it == faults_.end()) return v;
+    switch (it->second) {
+      case FaultType::kStuckAt0: return false;
+      case FaultType::kStuckAt1: return true;
+      case FaultType::kInvert: return !v;
+    }
+    return v;
+  }
+
+  const Netlist& nl_;
+  std::vector<bool> value_;
+  std::vector<bool> raw_;  ///< un-faulted value of every source net
+  std::map<NetId, FaultType> faults_;
+};
+
+/// Faults the oracle run must cover: gates strictly inside a run of the
+/// compiled stream (neither its first nor its last instruction), and
+/// flip-flops of latch groups clocked only by the held controls — plus a
+/// few random nets.  Each lands on random lanes with a random type.
+std::vector<BatchSimulator::LaneFault> OracleFaults(
+    const CompiledNetlist& compiled, const RandomNetlist& rn,
+    std::mt19937_64& rng, std::size_t* mid_run, std::size_t* held_dff) {
+  const auto held = [&](std::uint32_t slot) {
+    return slot == compiled.ZeroSlot() ||
+           std::find(rn.controls.begin(), rn.controls.end(), slot) !=
+               rn.controls.end();
+  };
+  std::vector<BatchSimulator::LaneFault> faults;
+  const auto add = [&](NetId net) {
+    faults.push_back({net, static_cast<FaultType>(rng() % 3), rng()});
+  };
+  for (const CompiledNetlist::Run& run : compiled.Runs()) {
+    if (run.end - run.begin < 3) continue;
+    const std::uint32_t inner =
+        run.begin + 1 + rng() % (run.end - run.begin - 2);
+    add(compiled.OutStream()[inner]);
+    ++*mid_run;
+  }
+  for (const CompiledNetlist::LatchGroup& group : compiled.LatchGroups()) {
+    if (!held(group.enable) || !held(group.reset) || *held_dff >= 4) continue;
+    add(compiled.Dffs()[group.begin + rng() % (group.end - group.begin)].q);
+    ++*held_dff;
+  }
+  for (int i = 0; i < 4; ++i) {
+    add(static_cast<NetId>(rng() % rn.netlist.NodeCount()));
+  }
+  return faults;
+}
+
+// Every lane of the engine against the walker, net for net after every
+// edge, with per-lane faults on gates inside runs and on flip-flops of
+// held latch groups.  The shared enable/reset inputs sit at 0 for
+// stretches of edges, so whole latch groups skip their clocking.
+TEST(BatchOracle, EveryLaneMatchesReferenceWalkerAfterEveryEdge) {
+  std::mt19937_64 rng(mont::test::TestSeed());
+  std::size_t held_group_edges = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RandomNetlist rn = BuildRandomNetlist(rng, /*n_inputs=*/6,
+                                                /*n_dffs=*/40, /*n_gates=*/150);
+    const CompiledNetlist compiled(rn.netlist);
+    BatchSimulator batch(compiled);
+    std::vector<ReferenceLane> lanes(kLanes, ReferenceLane(rn.netlist));
+    for (ReferenceLane& lane : lanes) lane.Settle();
+
+    std::size_t mid_run = 0, held_dff = 0;
+    const auto faults = OracleFaults(compiled, rn, rng, &mid_run, &held_dff);
+    ASSERT_GT(mid_run, 0u) << "no run long enough to fault inside";
+    ASSERT_GT(held_dff, 0u) << "no latch group clocked by the controls";
+    batch.InjectFaults(faults);
+    for (const BatchSimulator::LaneFault& fault : faults) {
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        if ((fault.lanes >> lane) & 1u) {
+          lanes[lane].InjectFault(fault.net, fault.type);
+        }
+      }
+    }
+    for (ReferenceLane& lane : lanes) lane.Settle();
+
+    for (int edge = 0; edge < 48; ++edge) {
+      const bool hold = (edge / 8) % 2 == 1;
+      for (const NetId input : rn.inputs) {
+        const bool control = std::find(rn.controls.begin(), rn.controls.end(),
+                                       input) != rn.controls.end();
+        const std::uint64_t word = hold && control ? 0 : rng();
+        batch.SetInput(input, word);
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+          lanes[lane].SetInput(input, ((word >> lane) & 1u) != 0);
+        }
+      }
+      batch.Settle();
+      for (const CompiledNetlist::LatchGroup& group : compiled.LatchGroups()) {
+        if ((batch.Peek(group.enable) | batch.Peek(group.reset)) == 0) {
+          ++held_group_edges;
+        }
+      }
+      batch.Tick();
+      for (ReferenceLane& lane : lanes) lane.Tick();
+      for (NetId id = 0; id < rn.netlist.NodeCount(); ++id) {
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+          ASSERT_EQ(((batch.Peek(id) >> lane) & 1u) != 0, lanes[lane].Value(id))
+              << "edge " << edge << " lane " << lane << " net "
+              << rn.netlist.NetName(id) << " ("
+              << OpName(rn.netlist.NodeAt(id).op) << ")";
+        }
+      }
+    }
+  }
+  EXPECT_GT(held_group_edges, 0u) << "the latch-group skip never ran";
+}
+
+// ---------------------------------------------------------------------------
 // Campaign equivalence: lane-parallel == sequential, fault for fault
 // ---------------------------------------------------------------------------
 
@@ -374,6 +584,153 @@ TEST(BatchSim, PeekWideRoundTripsWideValues) {
     EXPECT_EQ(sim.PeekWide(regs, lane), values[lane]) << "lane " << lane;
     EXPECT_EQ(sim.PeekWide(in, lane), values[lane]) << "lane " << lane;
   }
+}
+
+TEST(BatchSim, WideLaneBusIoMatchesPerLaneReads) {
+  auto brng = mont::test::TestRng();
+  Netlist nl;
+  const Bus in = InputBus(nl, "w", 100);
+  BatchSimulator sim(nl);
+  std::vector<BigUInt> values;
+  for (std::size_t lane = 0; lane < 37; ++lane) {
+    values.push_back(brng.ExactBits(lane == 5 ? 130 : 100));
+  }
+  sim.SetInputWideLanes(in, values);
+  const std::vector<BigUInt> all = sim.PeekWideLanes(in, kLanes);
+  ASSERT_EQ(all.size(), kLanes);
+  const BigUInt bus_span = BigUInt::PowerOfTwo(100);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const BigUInt expect = lane < values.size() ? values[lane] % bus_span : 0;
+    EXPECT_EQ(all[lane], expect) << "lane " << lane;
+    EXPECT_EQ(sim.PeekWide(in, lane), expect) << "lane " << lane;
+  }
+  EXPECT_EQ(sim.PeekWideLanes(in, 3).size(), 3u);
+  EXPECT_TRUE(sim.PeekWideLanes(in, 0).empty());
+  EXPECT_THROW(sim.PeekWideLanes(in, kLanes + 1), std::out_of_range);
+  const std::vector<BigUInt> too_many(kLanes + 1, BigUInt{1});
+  EXPECT_THROW(sim.SetInputWideLanes(in, too_many), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled stream layout
+// ---------------------------------------------------------------------------
+
+/// Runs tile the stream in order, each holds one op, and no instruction
+/// reads a net computed at or after the start of its own run; latch groups
+/// tile Dffs() in strictly increasing (enable, reset) order.
+void CheckCompiledLayout(const Netlist& nl) {
+  const CompiledNetlist compiled(nl);
+  std::uint32_t at = 0;
+  for (const CompiledNetlist::Run& run : compiled.Runs()) {
+    ASSERT_EQ(run.begin, at);
+    ASSERT_LT(run.begin, run.end);
+    for (std::uint32_t i = run.begin; i < run.end; ++i) {
+      const NetId out = compiled.OutStream()[i];
+      ASSERT_EQ(nl.NodeAt(out).op, run.op) << "instruction " << i;
+      ASSERT_EQ(compiled.InstructionOf(out), i);
+      for (const auto* stream :
+           {&compiled.AStream(), &compiled.BStream(), &compiled.CStream()}) {
+        const std::uint32_t src = (*stream)[i];
+        if (!compiled.ValidNet(src)) continue;
+        const std::uint32_t producer = compiled.InstructionOf(src);
+        if (producer != CompiledNetlist::kNoInstruction) {
+          ASSERT_LT(producer, run.begin) << "instruction " << i;
+        }
+      }
+    }
+    at = run.end;
+  }
+  EXPECT_EQ(at, compiled.InstructionCount());
+
+  at = 0;
+  const CompiledNetlist::LatchGroup* previous = nullptr;
+  for (const CompiledNetlist::LatchGroup& group : compiled.LatchGroups()) {
+    ASSERT_EQ(group.begin, at);
+    ASSERT_LT(group.begin, group.end);
+    if (previous != nullptr) {
+      ASSERT_LT(std::pair(previous->enable, previous->reset),
+                std::pair(group.enable, group.reset));
+    }
+    for (std::uint32_t i = group.begin; i < group.end; ++i) {
+      const CompiledNetlist::Dff& dff = compiled.Dffs()[i];
+      ASSERT_EQ(dff.enable, group.enable);
+      ASSERT_EQ(dff.reset, group.reset);
+      ASSERT_EQ(compiled.DffIndexOf(dff.q), i);
+    }
+    previous = &group;
+    at = group.end;
+  }
+  EXPECT_EQ(at, compiled.Dffs().size());
+}
+
+TEST(CompiledStream, RunsAndLatchGroupsTileTheirStreams) {
+  std::mt19937_64 rng(mont::test::TestSeed());
+  for (int trial = 0; trial < 4; ++trial) {
+    CheckCompiledLayout(BuildRandomNetlist(rng, 6, 30, 200).netlist);
+  }
+  CheckCompiledLayout(*core::BuildMmmcNetlist(8).netlist);
+  CheckCompiledLayout(*core::BuildMmmcNetlist(16, /*dual_field=*/true).netlist);
+}
+
+// The 64-bit MMMC: ordering by (level, op) turns the 661 single-op
+// stretches of plain topological order into 22 runs, and its 653
+// flip-flops share 70 (enable, reset) pairs.
+TEST(CompiledStream, Mmmc64HasFewRunsAndLatchGroups) {
+  const auto gen = core::BuildMmmcNetlist(64);
+  const CompiledNetlist compiled(*gen.netlist);
+  std::size_t stretches = 1;
+  const std::vector<NetId>& topo = gen.netlist->TopoOrder();
+  for (std::size_t i = 1; i < topo.size(); ++i) {
+    stretches += gen.netlist->NodeAt(topo[i]).op !=
+                 gen.netlist->NodeAt(topo[i - 1]).op;
+  }
+  EXPECT_LT(compiled.Runs().size() * 20, stretches)
+      << compiled.Runs().size() << " runs, " << stretches << " stretches";
+  EXPECT_LT(compiled.LatchGroups().size() * 8, compiled.Dffs().size())
+      << compiled.LatchGroups().size() << " groups";
+}
+
+/// Kahn's algorithm with one fanout vector per node — the reference
+/// TopoOrder() must reproduce exactly, since technology mapping, timing
+/// and taint analysis iterate its order.
+std::vector<NetId> ReferenceTopoOrder(const Netlist& nl) {
+  std::vector<std::uint8_t> pending(nl.NodeCount(), 0);
+  std::vector<std::vector<NetId>> fanout(nl.NodeCount());
+  std::vector<NetId> ready, order;
+  for (NetId id = 0; id < nl.NodeCount(); ++id) {
+    const Node& node = nl.NodeAt(id);
+    if (!IsCombinational(node.op)) continue;
+    int deps = 0;
+    for (const NetId src : {node.a, node.b, node.c}) {
+      if (src == kNoNet || !IsCombinational(nl.NodeAt(src).op)) continue;
+      fanout[src].push_back(id);
+      ++deps;
+    }
+    pending[id] = static_cast<std::uint8_t>(deps);
+    if (deps == 0) ready.push_back(id);
+  }
+  while (!ready.empty()) {
+    const NetId id = ready.back();
+    ready.pop_back();
+    order.push_back(id);
+    for (const NetId next : fanout[id]) {
+      if (--pending[next] == 0) ready.push_back(next);
+    }
+  }
+  return order;
+}
+
+TEST(CompiledStream, TopoOrderMatchesReferenceKahnSort) {
+  for (const std::size_t l : {2, 8, 64}) {
+    for (const bool dual_field : {false, true}) {
+      const auto gen = core::BuildMmmcNetlist(l, dual_field);
+      EXPECT_EQ(gen.netlist->TopoOrder(), ReferenceTopoOrder(*gen.netlist))
+          << "l=" << l << " dual_field=" << dual_field;
+    }
+  }
+  std::mt19937_64 rng(mont::test::TestSeed());
+  const RandomNetlist rn = BuildRandomNetlist(rng, 6, 20, 300);
+  EXPECT_EQ(rn.netlist.TopoOrder(), ReferenceTopoOrder(rn.netlist));
 }
 
 TEST(BatchSim, BatchDriverRejectsBadOperandCounts) {
