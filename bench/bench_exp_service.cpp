@@ -45,6 +45,7 @@
 #include "bignum/random.hpp"
 #include "core/exp_service.hpp"
 #include "core/schedule.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -231,7 +232,7 @@ struct StressStats {
   double paired_fraction = 0;
   std::uint64_t makespan = 0;
   std::uint64_t p50 = 0, p95 = 0, p99 = 0;  // virtual latency (cycles)
-  ExpService::Counters counters;
+  mont::obs::MetricsSnapshot metrics;  // the executor's registry
 };
 
 StressStats RunStress(const StressTrace& trace, SchedulerKind kind,
@@ -253,7 +254,7 @@ StressStats RunStress(const StressTrace& trace, SchedulerKind kind,
   exec.RunUntilIdle();
 
   StressStats stats;
-  stats.counters = exec.Snapshot();
+  stats.metrics = exec.registry().Snapshot();
   stats.makespan = exec.Now();
   std::set<std::tuple<std::size_t, std::uint64_t, std::uint64_t>> groups;
   std::vector<std::uint64_t> latencies;
@@ -421,9 +422,9 @@ int main(int argc, char** argv) {
         {"latency_p95_cycles", s.p95},
         {"latency_p99_cycles", s.p99},
         {"makespan_cycles", s.makespan},
-        {"steals", s.counters.steals},
-        {"holds", s.counters.holds},
-        {"unpair_timeouts", s.counters.unpair_timeouts},
+        {"steals", s.metrics.CounterValue("sched.steals")},
+        {"holds", s.metrics.CounterValue("sched.holds")},
+        {"unpair_timeouts", s.metrics.CounterValue("sched.unpair_timeouts")},
     };
   };
   rows.push_back(stress_row("shared_queue", v1));
@@ -449,16 +450,18 @@ int main(int argc, char** argv) {
     return mont::bench::JsonRow{
         {"scheduler", name},
         {"jobs", stress_jobs},
-        {"pair_issues", s.counters.pair_issues},
-        {"single_issues", s.counters.single_issues},
-        {"steals", s.counters.steals},
-        {"holds", s.counters.holds},
-        {"hold_pairs", s.counters.hold_pairs},
-        {"unpair_timeouts", s.counters.unpair_timeouts},
-        {"batch_acquires", s.counters.batch_acquires},
-        {"max_batch_claimed", s.counters.max_batch_claimed},
-        {"engine_cache_hits", s.counters.engine_cache_hits},
-        {"engine_cache_misses", s.counters.engine_cache_misses},
+        {"pair_issues", s.metrics.CounterValue("issues.paired")},
+        {"single_issues", s.metrics.CounterValue("issues.single")},
+        {"steals", s.metrics.CounterValue("sched.steals")},
+        {"holds", s.metrics.CounterValue("sched.holds")},
+        {"hold_pairs", s.metrics.CounterValue("sched.hold_pairs")},
+        {"unpair_timeouts", s.metrics.CounterValue("sched.unpair_timeouts")},
+        {"batch_acquires", s.metrics.CounterValue("sched.batch_acquires")},
+        {"max_batch_claimed",
+         static_cast<std::uint64_t>(
+             s.metrics.gauges.at("sched.max_batch_claimed"))},
+        {"engine_cache_hits", s.metrics.CounterValue("engine.cache_hits")},
+        {"engine_cache_misses", s.metrics.CounterValue("engine.cache_misses")},
     };
   };
   sched_rows.push_back(sched_row("shared_queue", v1));

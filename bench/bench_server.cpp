@@ -40,6 +40,7 @@
 
 #include "bench_json.hpp"
 #include "bignum/random.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "crypto/rsa.hpp"
 #include "server/client.hpp"
@@ -137,17 +138,16 @@ mont::bench::JsonRow DeadlineModelRow() {
     }
   }
   service.Wait();
-  const auto jobs = service.ServiceSnapshot();
+  const unsigned long long jobs_cancelled =
+      service.StatsSnapshot().CounterValue("jobs.cancelled");
   std::printf("deadline_model: %zu offered -> %zu DEADLINE_EXCEEDED "
               "(%llu jobs cancelled in-scheduler)\n",
-              offered, deadline_exceeded,
-              static_cast<unsigned long long>(jobs.deadline_exceeded));
+              offered, deadline_exceeded, jobs_cancelled);
   return {{"stage", "deadline_model"},
           {"offered", static_cast<unsigned long long>(offered)},
           {"deadline_exceeded",
            static_cast<unsigned long long>(deadline_exceeded)},
-          {"jobs_cancelled",
-           static_cast<unsigned long long>(jobs.deadline_exceeded)}};
+          {"jobs_cancelled", jobs_cancelled}};
 }
 
 // --- sweep: closed-loop goodput vs offered load ----------------------------
@@ -236,18 +236,18 @@ SweepPoint RunSweepLevel(std::size_t threads, std::size_t per_thread,
           ? static_cast<double>(point.offered) / point.wall_seconds
           : 0;
 
-  const auto counters = service.Snapshot();
-  const auto jobs = service.ServiceSnapshot();
-  if (counters.bad_signatures_released != 0) {
+  const mont::obs::MetricsSnapshot metrics = service.StatsSnapshot();
+  if (metrics.CounterValue("server.bad_signatures_released") != 0) {
     std::fprintf(stderr, "FATAL: bad signature released under load\n");
     std::exit(1);
   }
-  if (jobs.jobs_submitted != jobs.jobs_completed + jobs.deadline_exceeded) {
+  const unsigned long long submitted = metrics.CounterValue("jobs.submitted");
+  const unsigned long long completed = metrics.CounterValue("jobs.completed");
+  const unsigned long long cancelled = metrics.CounterValue("jobs.cancelled");
+  if (submitted != completed + cancelled) {
     std::fprintf(stderr, "FATAL: job counters do not conserve (%llu != "
                          "%llu + %llu)\n",
-                 static_cast<unsigned long long>(jobs.jobs_submitted),
-                 static_cast<unsigned long long>(jobs.jobs_completed),
-                 static_cast<unsigned long long>(jobs.deadline_exceeded));
+                 submitted, completed, cancelled);
     std::exit(1);
   }
   return point;

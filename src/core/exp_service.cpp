@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <limits>
-#include <exception>
 #include <stdexcept>
 
 #include "core/interleaved.hpp"
@@ -360,31 +360,14 @@ std::shared_ptr<const MmmEngine> ExecutionCore::AcquireEngine(
   std::shared_ptr<const MmmEngine> engine =
       MakeEngine(engine_name, modulus, engine_options_);
   std::lock_guard<std::mutex> lk(cache_mu_);
-  if (cache_.Contains(key)) {
-    // The race loser's second lookup counts as a hit, matching the
-    // LruCache-internal tallies the registry counters mirror.
+  if (auto* winner = cache_.Get(key)) {
+    // The race loser adopts the winner's engine; its second lookup
+    // counts as a hit.
     metrics_.cache_hits.Increment();
-    return *cache_.Get(key);
+    return *winner;
   }
-  const std::uint64_t evictions_before = cache_.Evictions();
-  cache_.Put(key, engine);
-  metrics_.cache_evictions.Add(cache_.Evictions() - evictions_before);
+  if (cache_.Put(key, engine)) metrics_.cache_evictions.Increment();
   return engine;
-}
-
-std::uint64_t ExecutionCore::CacheHits() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.Hits();
-}
-
-std::uint64_t ExecutionCore::CacheMisses() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.Misses();
-}
-
-std::uint64_t ExecutionCore::CacheEvictions() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.Evictions();
 }
 
 void ExecutionCore::PublishGroupStats(const EngineStats& stats) {
@@ -462,60 +445,264 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
 }
 
 // ---------------------------------------------------------------------------
-// ExpService
+// Dispatcher
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Binds the jobs.*/issues.* handles and registers the conservation law
-/// shared by the threaded service and the deterministic executor.
-template <typename Metrics>
-void BindServiceMetrics(obs::Registry& registry, Metrics* metrics) {
-  metrics->jobs_submitted = registry.GetCounter("jobs.submitted");
-  metrics->jobs_completed = registry.GetCounter("jobs.completed");
-  metrics->jobs_cancelled = registry.GetCounter("jobs.cancelled");
-  metrics->pair_issues = registry.GetCounter("issues.paired");
-  metrics->single_issues = registry.GetCounter("issues.single");
-  registry.AddInvariant("jobs.conservation", {"jobs.submitted"},
-                        {"jobs.completed", "jobs.cancelled"});
+ExpServiceOptions Normalised(ExpServiceOptions options) {
+  if (options.workers == 0) options.workers = 1;
+  if (options.max_batch == 0) options.max_batch = 1;
+  return options;
+}
+
+StealScheduler::Config SchedulerConfig(const ExpServiceOptions& options,
+                                       obs::Registry* registry) {
+  StealScheduler::Config config;
+  config.kind = options.scheduler;
+  config.workers = options.workers;
+  config.enable_pairing = options.enable_pairing;
+  config.work_stealing = options.work_stealing;
+  config.unpair_timeout = options.unpair_timeout;
+  config.max_batch = options.max_batch;
+  config.registry = registry;
+  config.tracer = options.tracer;
+  return config;
+}
+
+ExpResult CancelledResult() {
+  ExpResult result;
+  result.cancelled = true;
+  result.stats.cancelled = 1;
+  return result;
+}
+
+// Callbacks are documented noexcept-in-spirit; anything they throw is
+// contained here, so a misbehaving callback cannot affect other jobs.
+void RunCallback(const Dispatcher::Job& job, const ExpResult& result) {
+  if (!job.callback) return;
+  try {
+    job.callback(result);
+  } catch (...) {
+  }
 }
 
 }  // namespace
 
-ExpService::ExpService(Options options)
-    : options_(std::move(options)),
+Dispatcher::Dispatcher(ExpServiceOptions options)
+    : options_(Normalised(std::move(options))),
       owned_registry_(options_.registry == nullptr
                           ? std::make_unique<obs::Registry>()
                           : nullptr),
       registry_(options_.registry != nullptr ? options_.registry
                                              : owned_registry_.get()),
       core_(options_.engine_name, options_.engine_options,
-            options_.engine_cache_capacity, options_.blind_seed, registry_) {
-  if (options_.workers == 0) options_.workers = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  clock_ = options_.clock != nullptr ? options_.clock : &steady_clock_;
-  BindServiceMetrics(*registry_, &metrics_);
-  if (options_.scheduler == SchedulerKind::kStealing) {
-    StealScheduler::Config config;
-    config.workers = options_.workers;
-    config.enable_pairing = options_.enable_pairing;
-    config.work_stealing = options_.work_stealing;
-    config.unpair_timeout = options_.unpair_timeout;
-    config.max_batch = options_.max_batch;
-    config.registry = registry_;
-    config.tracer = options_.tracer;
-    sched_ = std::make_unique<StealScheduler>(config);
-  }
+            options_.engine_cache_capacity, options_.blind_seed, registry_),
+      sched_(SchedulerConfig(options_, registry_)) {
+  metrics_.jobs_submitted = registry_->GetCounter("jobs.submitted");
+  metrics_.jobs_completed = registry_->GetCounter("jobs.completed");
+  metrics_.jobs_cancelled = registry_->GetCounter("jobs.cancelled");
+  metrics_.pair_issues = registry_->GetCounter("issues.paired");
+  metrics_.single_issues = registry_->GetCounter("issues.single");
+  registry_->AddInvariant("jobs.conservation", {"jobs.submitted"},
+                          {"jobs.completed", "jobs.cancelled"});
   // The 3l+5-per-pair credit models the C-slow variant of the array
   // schedule; a backend without pairable streams (word-serial datapaths)
   // must not report fictitious dual-channel throughput.  That is
-  // enforced per job — non-pairable jobs never enter the pairing
-  // keyspace and RunGroup falls back to solo issue for bonded pairs —
-  // rather than by disabling pairing service-wide, so jobs whose
-  // ExpJobOptions override selects a pairable backend still co-schedule.
+  // enforced per job — non-pairable jobs are submitted unpairable and
+  // RunGroup falls back to solo issue for bonded pairs — rather than by
+  // disabling pairing service-wide, so jobs whose ExpJobOptions override
+  // selects a pairable backend still co-schedule.
+}
+
+std::uint64_t Dispatcher::TraceId(const Job& job) {
+  return job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
+}
+
+Dispatcher::Job Dispatcher::Prepare(BigUInt modulus, BigUInt base,
+                                    BigUInt exponent, ExpJobOptions options,
+                                    Callback callback) const {
+  core_.ValidateModulus(modulus);
+  Job job;
+  job.pairable = core_.Pairable(options);
+  if (!options.exponent_blind_order.IsZero() &&
+      options.exponent_blind_bits == 0) {
+    throw std::invalid_argument(
+        "ExpService: exponent_blind_bits must be >= 1 when blinding");
+  }
+  job.spec.modulus = std::move(modulus);
+  job.spec.base = std::move(base);
+  job.spec.exponent = std::move(exponent);
+  job.spec.options = std::move(options);
+  job.callback = std::move(callback);
+  return job;
+}
+
+Dispatcher::PreparedPair Dispatcher::PreparePair(
+    BigUInt modulus_a, BigUInt base_a, BigUInt exponent_a, BigUInt modulus_b,
+    BigUInt base_b, BigUInt exponent_b) const {
+  PreparedPair pair;
+  // Unequal lengths cannot share an array; they run as plain jobs.
+  pair.bonded = modulus_a.BitLength() == modulus_b.BitLength();
+  pair.jobs[0] = Prepare(std::move(modulus_a), std::move(base_a),
+                         std::move(exponent_a), {}, {});
+  pair.jobs[1] = Prepare(std::move(modulus_b), std::move(base_b),
+                         std::move(exponent_b), {}, {});
+  return pair;
+}
+
+void Dispatcher::Enter(Job job, std::uint64_t now) {
+  if (job.id == 0) AssignId(&job);
+  job.submit_tick = now;
+  const std::uint64_t key = job.spec.modulus.BitLength();
+  metrics_.jobs_submitted.Increment();
+  if (Tracing()) {
+    options_.tracer->Instant("job.submit", TraceId(job), 0, now,
+                             {{"job", job.id}, {"key", key}});
+  }
+  sched_.Submit(job.id, key, job.pairable, now);
+  pending_.emplace(job.id, std::move(job));
+}
+
+void Dispatcher::EnterBonded(std::array<Job, 2> jobs, std::uint64_t now) {
+  for (Job& job : jobs) {
+    if (job.id == 0) AssignId(&job);
+    job.submit_tick = now;
+  }
+  metrics_.jobs_submitted.Add(2);
+  if (Tracing()) {
+    for (const Job& job : jobs) {
+      options_.tracer->Instant("job.submit", TraceId(job), 0, now,
+                               {{"job", job.id}, {"bonded", 1}});
+    }
+  }
+  sched_.SubmitBonded(jobs[0].id, jobs[1].id, now);
+  for (Job& job : jobs) pending_.emplace(job.id, std::move(job));
+}
+
+std::vector<Dispatcher::Group> Dispatcher::Claim(std::size_t worker,
+                                                 std::uint64_t now) {
+  std::vector<StealScheduler::Issue> issues;
+  sched_.AcquireBatch(worker, now, &issues);
+  std::vector<Group> groups(issues.size());
+  for (std::size_t g = 0; g < issues.size(); ++g) {
+    Group& group = groups[g];
+    group.issue = issues[g];
+    group.worker = worker;
+    group.jobs.reserve(group.issue.count);
+    for (std::size_t i = 0; i < group.issue.count; ++i) {
+      auto it = pending_.find(group.issue.ids[i]);
+      group.jobs.push_back(std::move(it->second));
+      pending_.erase(it);
+    }
+  }
+  return groups;
+}
+
+void Dispatcher::Gate(Group* group, std::uint64_t now) {
+  const auto live_end = std::stable_partition(
+      group->jobs.begin(), group->jobs.end(), [now](const Job& job) {
+        const std::uint64_t deadline = job.spec.options.deadline;
+        return deadline == 0 || now < deadline;
+      });
+  std::move(live_end, group->jobs.end(), std::back_inserter(group->expired));
+  group->jobs.erase(live_end, group->jobs.end());
+}
+
+void Dispatcher::Run(Group* group) {
+  if (group->jobs.empty()) return;
+  std::array<const ExecutionCore::JobSpec*, 2> specs{};
+  for (std::size_t i = 0; i < group->jobs.size(); ++i) {
+    specs[i] = &group->jobs[i].spec;
+  }
+  group->outcome = core_.RunGroup(
+      std::span<const ExecutionCore::JobSpec* const>(specs.data(),
+                                                     group->jobs.size()));
+  // Scheduling provenance rides on every result, so callers can audit
+  // steal/unpair decisions per job, not just in aggregate.
+  for (ExpResult& result : group->outcome.results) {
+    result.stolen = group->issue.stolen;
+    result.unpaired_by_timeout = group->issue.unpaired_by_timeout;
+  }
+}
+
+std::optional<Dispatcher::Job> Dispatcher::CancelQueued(std::uint64_t id) {
+  const auto it = pending_.find(id);
+  if (it == pending_.end() || !sched_.Cancel(id)) return std::nullopt;
+  Job job = std::move(it->second);
+  pending_.erase(it);
+  return job;
+}
+
+void Dispatcher::FinishCancelled(Job job, std::uint64_t now) {
+  metrics_.jobs_cancelled.Increment();
+  if (Tracing()) {
+    options_.tracer->Instant("job.cancelled", TraceId(job), 0, now,
+                             {{"job", job.id}});
+  }
+  const ExpResult result = CancelledResult();
+  job.promise.set_value(result);
+  RunCallback(job, result);
+}
+
+void Dispatcher::Publish(Group* group, std::uint64_t now) {
+  if (group->outcome.paired) {
+    metrics_.pair_issues.Increment();
+  } else {
+    metrics_.single_issues.Add(group->jobs.size());
+  }
+  metrics_.jobs_cancelled.Add(group->expired.size());
+  // The scheduler's in-flight accounting gates the hold-for-pairing
+  // heuristic; it retires before the promises resolve, so a caller
+  // submitting right after .get() sees an idle pool.
+  sched_.OnGroupDone();
+  if (!Tracing()) return;
+  for (std::size_t i = 0; i < group->jobs.size(); ++i) {
+    const EngineStats& stats = group->outcome.results[i].stats;
+    options_.tracer->Complete(
+        "job.run", TraceId(group->jobs[i]), group->worker, group->start, now,
+        {{"mmm_invocations", stats.mmm_invocations},
+         {"engine_cycles", stats.engine_cycles},
+         {"paired", group->outcome.paired ? 1u : 0u},
+         {"stolen", group->issue.stolen ? 1u : 0u}});
+  }
+  for (const Job& job : group->expired) {
+    options_.tracer->Instant("job.cancelled", TraceId(job), 0, now,
+                             {{"job", job.id}});
+  }
+}
+
+void Dispatcher::Resolve(Group* group) {
+  const ExpResult cancelled = CancelledResult();
+  for (Job& job : group->expired) job.promise.set_value(cancelled);
+  const ExecutionCore::Outcome& outcome = group->outcome;
+  if (outcome.error != nullptr) {
+    for (Job& job : group->jobs) job.promise.set_exception(outcome.error);
+  } else {
+    for (std::size_t i = 0; i < group->jobs.size(); ++i) {
+      group->jobs[i].promise.set_value(outcome.results[i]);
+    }
+    for (std::size_t i = 0; i < group->jobs.size(); ++i) {
+      RunCallback(group->jobs[i], outcome.results[i]);
+    }
+  }
+  for (const Job& job : group->expired) RunCallback(job, cancelled);
+}
+
+void Dispatcher::Retire(const Group& group) {
+  metrics_.jobs_completed.Add(group.jobs.size());
+}
+
+// ---------------------------------------------------------------------------
+// ExpService
+// ---------------------------------------------------------------------------
+
+ExpService::ExpService(Options options) : dispatcher_(std::move(options)) {
+  clock_ = dispatcher_.options().clock != nullptr ? dispatcher_.options().clock
+                                                  : &steady_clock_;
   cont_thread_ = std::thread([this] { ContinuationLoop(); });
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
+  workers_.reserve(dispatcher_.options().workers);
+  for (std::size_t i = 0; i < dispatcher_.options().workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -538,28 +725,11 @@ ExpService::~ExpService() {
   cont_thread_.join();
 }
 
-std::uint64_t ExpService::NowTicks() const { return clock_->Now(); }
-
-std::future<ExpService::Result> ExpService::Enqueue(Job job, std::uint64_t key,
-                                                    bool pairable) {
+std::future<ExpService::Result> ExpService::Enqueue(Dispatcher::Job job) {
   std::future<Result> future = job.promise.get_future();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::uint64_t now = NowTicks();
-    job.id = next_id_++;
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      const std::uint64_t trace_id =
-          job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
-      options_.tracer->Instant("job.submit", trace_id, 0, now,
-                               {{"job", job.id}, {"key", key}});
-    }
-    if (sched_ != nullptr) {
-      sched_->Submit(job.id, key, pairable, now);
-    } else {
-      queue_.Push(job.id, key);
-    }
-    pending_.emplace(job.id, std::move(job));
-    metrics_.jobs_submitted.Increment();
+    dispatcher_.Enter(std::move(job), clock_->Now());
   }
   cv_.notify_one();
   return future;
@@ -578,30 +748,10 @@ std::future<ExpService::Result> ExpService::Submit(BigUInt modulus,
                                                    BigUInt exponent,
                                                    JobOptions job_options,
                                                    Callback callback) {
-  core_.ValidateModulus(modulus);
-  const bool pairable = core_.Pairable(job_options);
-  if (!job_options.exponent_blind_order.IsZero() &&
-      job_options.exponent_blind_bits == 0) {
-    throw std::invalid_argument(
-        "ExpService: exponent_blind_bits must be >= 1 when blinding");
-  }
-  Job job;
-  // Opportunistic pairing key: the operand length — any two jobs of equal
-  // l can share one array's two channels.  Under the v1 shared queue a
-  // job on a backend without pairable streams gets a key of its own
-  // instead (the v2 scheduler takes the pairable flag directly), so the
-  // scheduler never hands it a partner its datapath cannot co-schedule.
-  std::uint64_t key = modulus.BitLength();
-  if (!pairable && sched_ == nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    key = (std::uint64_t{1} << 62) | next_solo_key_++;
-  }
-  job.spec.modulus = std::move(modulus);
-  job.spec.base = std::move(base);
-  job.spec.exponent = std::move(exponent);
-  job.spec.options = std::move(job_options);
-  job.callback = std::move(callback);
-  return Enqueue(std::move(job), key, pairable);
+  return Enqueue(dispatcher_.Prepare(std::move(modulus), std::move(base),
+                                     std::move(exponent),
+                                     std::move(job_options),
+                                     std::move(callback)));
 }
 
 std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
@@ -622,53 +772,19 @@ std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
 std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
 ExpService::SubmitPair(BigUInt modulus_a, BigUInt base_a, BigUInt exponent_a,
                        BigUInt modulus_b, BigUInt base_b, BigUInt exponent_b) {
-  core_.ValidateModulus(modulus_a);
-  core_.ValidateModulus(modulus_b);
-  if (modulus_a.BitLength() != modulus_b.BitLength()) {
-    // Unequal lengths cannot share an array; run them as plain jobs.
-    auto first = Submit(std::move(modulus_a), std::move(base_a),
-                        std::move(exponent_a));
-    auto second = Submit(std::move(modulus_b), std::move(base_b),
-                         std::move(exponent_b));
+  Dispatcher::PreparedPair pair = dispatcher_.PreparePair(
+      std::move(modulus_a), std::move(base_a), std::move(exponent_a),
+      std::move(modulus_b), std::move(base_b), std::move(exponent_b));
+  if (!pair.bonded) {
+    auto first = Enqueue(std::move(pair.jobs[0]));
+    auto second = Enqueue(std::move(pair.jobs[1]));
     return {std::move(first), std::move(second)};
   }
-  Job job_a, job_b;
-  job_a.spec.modulus = std::move(modulus_a);
-  job_a.spec.base = std::move(base_a);
-  job_a.spec.exponent = std::move(exponent_a);
-  job_b.spec.modulus = std::move(modulus_b);
-  job_b.spec.base = std::move(base_b);
-  job_b.spec.exponent = std::move(exponent_b);
-  std::future<Result> first = job_a.promise.get_future();
-  std::future<Result> second = job_b.promise.get_future();
+  std::future<Result> first = pair.jobs[0].promise.get_future();
+  std::future<Result> second = pair.jobs[1].promise.get_future();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    job_a.id = next_id_++;
-    job_b.id = next_id_++;
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      const std::uint64_t now = NowTicks();
-      options_.tracer->Instant("job.submit", job_a.id, 0, now,
-                               {{"job", job_a.id}, {"bonded", 1}});
-      options_.tracer->Instant("job.submit", job_b.id, 0, now,
-                               {{"job", job_b.id}, {"bonded", 1}});
-    }
-    if (sched_ != nullptr) {
-      // The v2 scheduler forms the bonded group at submit time: a worker
-      // can never observe one half without the other.
-      sched_->SubmitBonded(job_a.id, job_b.id, NowTicks());
-    } else {
-      // A bond key is unique to the pair (top bit marks the bonded
-      // keyspace), so the partners can only ever pair with each other.
-      // Both jobs enter the queue under one lock: a worker must never
-      // observe one half of a bond without the other, or the first half
-      // would issue alone.
-      const std::uint64_t key = (std::uint64_t{1} << 63) | next_bond_key_++;
-      queue_.Push(job_a.id, key, /*bonded=*/true);
-      queue_.Push(job_b.id, key, /*bonded=*/true);
-    }
-    pending_.emplace(job_a.id, std::move(job_a));
-    pending_.emplace(job_b.id, std::move(job_b));
-    metrics_.jobs_submitted.Add(2);
+    dispatcher_.EnterBonded(std::move(pair.jobs), clock_->Now());
   }
   cv_.notify_all();
   return {std::move(first), std::move(second)};
@@ -682,244 +798,69 @@ void ExpService::Post(std::function<void()> continuation) {
   cont_cv_.notify_one();
 }
 
-bool ExpService::QueueDrainedLocked() const {
-  const bool queue_empty =
-      sched_ != nullptr ? sched_->Idle() : queue_.Empty();
-  return queue_empty && in_flight_ == 0;
-}
-
 void ExpService::Wait() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [this] { return QueueDrainedLocked(); });
+  idle_cv_.wait(lk, [this] { return DrainedLocked(); });
 }
 
-ExpService::Counters ExpService::Snapshot() const {
-  Counters counters;
-  counters.jobs_submitted = metrics_.jobs_submitted.Value();
-  counters.jobs_completed = metrics_.jobs_completed.Value();
-  counters.deadline_exceeded = metrics_.jobs_cancelled.Value();
-  counters.pair_issues = metrics_.pair_issues.Value();
-  counters.single_issues = metrics_.single_issues.Value();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (sched_ != nullptr) {
-      const StealScheduler::Stats stats = sched_->GetStats();
-      counters.steals = stats.steals;
-      counters.holds = stats.holds;
-      counters.hold_pairs = stats.hold_pairs;
-      counters.unpair_timeouts = stats.unpair_timeouts;
-      counters.batch_acquires = stats.batch_acquires;
-      counters.max_batch_claimed = stats.max_batch_claimed;
-    }
-  }
-  counters.engine_cache_hits = core_.CacheHits();
-  counters.engine_cache_misses = core_.CacheMisses();
-  counters.engine_cache_evictions = core_.CacheEvictions();
-  return counters;
-}
-
-bool ExpService::AcquireIssues(std::size_t index,
-                               std::unique_lock<std::mutex>& lk,
-                               std::vector<StealScheduler::Issue>* issues) {
+bool ExpService::ClaimLocked(std::size_t index,
+                             std::unique_lock<std::mutex>& lk,
+                             std::vector<Dispatcher::Group>* groups) {
   for (;;) {
-    if (sched_ != nullptr) {
-      // While draining, every held job's deadline is treated as expired
-      // so nothing waits out a timeout the pool no longer needs.
-      const std::uint64_t now =
-          stop_ ? std::numeric_limits<std::uint64_t>::max() : NowTicks();
-      sched_->AcquireBatch(index, now, issues);
-      if (!issues->empty()) return true;
-      if (stop_) return false;
-      const auto deadline = sched_->NextHoldDeadline();
-      if (!deadline.has_value()) {
-        cv_.wait(lk);
-      } else if (options_.clock != nullptr) {
-        // An injected clock's ticks don't map onto wall time, so the
-        // timed wait degrades to a poll (test-only configuration).
-        cv_.wait_for(lk, std::chrono::microseconds(100));
-      } else {
-        cv_.wait_until(lk, std::chrono::steady_clock::time_point(
-                               std::chrono::nanoseconds(*deadline)));
-      }
-      continue;
+    // While draining, every held job's deadline is treated as expired
+    // so nothing waits out a timeout the pool no longer needs.
+    const std::uint64_t now =
+        stop_ ? std::numeric_limits<std::uint64_t>::max() : clock_->Now();
+    *groups = dispatcher_.Claim(index, now);
+    if (!groups->empty()) return true;
+    if (stop_) return false;
+    const auto deadline = dispatcher_.NextHoldDeadline();
+    if (!deadline.has_value()) {
+      cv_.wait(lk);
+    } else if (dispatcher_.options().clock != nullptr) {
+      // An injected clock's ticks don't map onto wall time, so the
+      // timed wait degrades to a poll (test-only configuration).
+      cv_.wait_for(lk, std::chrono::microseconds(100));
+    } else {
+      cv_.wait_until(lk, std::chrono::steady_clock::time_point(
+                             std::chrono::nanoseconds(*deadline)));
     }
-    cv_.wait(lk, [this] { return stop_ || !queue_.Empty(); });
-    if (queue_.Empty()) {
-      if (stop_) return false;
-      continue;
-    }
-    const auto popped = queue_.Pop(options_.enable_pairing);
-    StealScheduler::Issue issue;
-    issue.ids = popped->ids;
-    issue.count = popped->count;
-    issue.bonded = popped->bonded;
-    issues->push_back(issue);
-    return true;
   }
 }
 
 void ExpService::WorkerLoop(std::size_t index) {
-  struct Unit {
-    StealScheduler::Issue issue;
-    std::vector<Job> jobs;
-  };
+  const auto& observer = dispatcher_.options().worker_observer;
+  std::vector<Dispatcher::Group> groups;
   std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    std::vector<StealScheduler::Issue> issues;
-    if (!AcquireIssues(index, lk, &issues)) return;
-    std::vector<Unit> units;
-    units.reserve(issues.size());
-    std::size_t claimed = 0;
-    for (const StealScheduler::Issue& issue : issues) {
-      Unit unit;
-      unit.issue = issue;
-      unit.jobs.reserve(issue.count);
-      for (std::size_t i = 0; i < issue.count; ++i) {
-        auto it = pending_.find(issue.ids[i]);
-        unit.jobs.push_back(std::move(it->second));
-        pending_.erase(it);
-      }
-      claimed += issue.count;
-      units.push_back(std::move(unit));
+  while (ClaimLocked(index, lk, &groups)) {
+    for (const Dispatcher::Group& group : groups) {
+      in_flight_ += group.jobs.size();
     }
-    in_flight_ += claimed;
     lk.unlock();
-
-    for (Unit& unit : units) {
+    for (Dispatcher::Group& group : groups) {
       // Fault-injection/observability hook (chaos harness): runs before
       // the deadline gate so a stalled worker realistically turns into
       // deadline misses downstream.  Exceptions are contained.
-      if (options_.worker_observer) {
+      if (observer) {
         try {
-          options_.worker_observer(index);
+          observer(index);
         } catch (...) {
         }
       }
-      // Deadline gate: claim time is the last point before engine
-      // dispatch.  Expired jobs are dropped here — they consume no array
-      // time, their futures resolve with ExpResult::cancelled, and their
-      // callbacks still fire.  A pair with one expired half issues solo.
-      std::vector<Job> expired;
-      {
-        const std::uint64_t now_ticks = NowTicks();
-        const auto live_end = std::stable_partition(
-            unit.jobs.begin(), unit.jobs.end(), [&](const Job& job) {
-              const std::uint64_t deadline = job.spec.options.deadline;
-              return deadline == 0 || now_ticks < deadline;
-            });
-        for (auto it = live_end; it != unit.jobs.end(); ++it) {
-          expired.push_back(std::move(*it));
-        }
-        unit.jobs.erase(live_end, unit.jobs.end());
-      }
-      std::array<const ExecutionCore::JobSpec*, 2> specs{};
-      for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-        specs[i] = &unit.jobs[i].spec;
-      }
-      ExecutionCore::Outcome outcome;
-      obs::Tracer* const tracer = options_.tracer;
-      const bool tracing = tracer != nullptr && tracer->enabled();
-      std::uint64_t run_start = 0;
-      if (!unit.jobs.empty()) {
-        if (tracing) run_start = NowTicks();
-        outcome = core_.RunGroup(
-            std::span<const ExecutionCore::JobSpec* const>(specs.data(),
-                                                           unit.jobs.size()));
-      }
-      // Scheduling provenance rides on every result, so callers can
-      // audit steal/unpair decisions per job, not just in aggregate.
-      for (ExpResult& result : outcome.results) {
-        result.stolen = unit.issue.stolen;
-        result.unpaired_by_timeout = unit.issue.unpaired_by_timeout;
-      }
-      if (tracing) {
-        const std::uint64_t run_end = NowTicks();
-        for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-          const Job& job = unit.jobs[i];
-          const std::uint64_t trace_id = job.spec.options.trace_id != 0
-                                             ? job.spec.options.trace_id
-                                             : job.id;
-          const EngineStats& stats = outcome.results[i].stats;
-          tracer->Complete("job.run", trace_id, index, run_start, run_end,
-                           {{"mmm_invocations", stats.mmm_invocations},
-                            {"engine_cycles", stats.engine_cycles},
-                            {"paired", outcome.paired ? 1u : 0u},
-                            {"stolen", unit.issue.stolen ? 1u : 0u}});
-        }
-        for (const Job& job : expired) {
-          const std::uint64_t trace_id = job.spec.options.trace_id != 0
-                                             ? job.spec.options.trace_id
-                                             : job.id;
-          tracer->Instant("job.cancelled", trace_id, index, run_end,
-                          {{"job", job.id}});
-        }
-      }
-      // Issue accounting records what actually ran — a 2-job group whose
-      // backends could not co-schedule executes (and is counted) as two
-      // solo issues, never as fictitious dual-channel throughput.
-      // Counters (and the scheduler's in-flight accounting, which gates
-      // the hold-for-pairing heuristic) are published before the
-      // promises resolve, so a caller observing a completed future
-      // observes its issue already counted.
+      group.start = clock_->Now();
+      Dispatcher::Gate(&group, group.start);
+      dispatcher_.Run(&group);
+      const std::uint64_t end = clock_->Now();
       lk.lock();
-      if (outcome.paired) {
-        metrics_.pair_issues.Increment();
-      } else {
-        metrics_.single_issues.Add(unit.jobs.size());
-      }
-      metrics_.jobs_cancelled.Add(expired.size());
-      // The scheduler's in-flight accounting (which gates the
-      // hold-for-pairing heuristic) retires before the promises resolve,
-      // so a caller submitting right after .get() sees an idle pool.
-      if (sched_ != nullptr) sched_->OnGroupDone();
+      dispatcher_.Publish(&group, end);
       lk.unlock();
-
-      // Expired jobs resolve first (promises before any callback), with
-      // the typed cancelled result — never an exception, so pipelined
-      // callers (CRT halves) observe the cancellation and can unwind.
-      ExpResult cancelled_result;
-      cancelled_result.cancelled = true;
-      cancelled_result.stats.cancelled = 1;
-      for (Job& job : expired) {
-        job.promise.set_value(cancelled_result);
-      }
-      if (outcome.error != nullptr) {
-        for (Job& job : unit.jobs) {
-          try {
-            job.promise.set_exception(outcome.error);
-          } catch (const std::future_error&) {
-            // This promise was already fulfilled before the failure.
-          }
-        }
-      } else {
-        // Every promise in the group is fulfilled before any callback
-        // runs, so a misbehaving callback can neither withhold nor
-        // poison a partner job's future (callbacks are documented
-        // noexcept-in-spirit; anything they throw is contained here).
-        for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-          unit.jobs[i].promise.set_value(outcome.results[i]);
-        }
-        for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-          if (!unit.jobs[i].callback) continue;
-          try {
-            unit.jobs[i].callback(outcome.results[i]);
-          } catch (...) {
-          }
-        }
-      }
-      for (Job& job : expired) {
-        if (!job.callback) continue;
-        try {
-          job.callback(cancelled_result);
-        } catch (...) {
-        }
-      }
-      // jobs_completed / in_flight_ retire only after the callbacks, so
-      // Wait() returning guarantees every completion hook has run.
+      Dispatcher::Resolve(&group);
+      // in_flight_ retires only after the callbacks, so Wait() returning
+      // guarantees every completion hook has run.
       lk.lock();
-      metrics_.jobs_completed.Add(unit.jobs.size());
-      in_flight_ -= unit.jobs.size() + expired.size();
-      const bool drained = QueueDrainedLocked();
+      dispatcher_.Retire(group);
+      in_flight_ -= group.jobs.size() + group.expired.size();
+      const bool drained = DrainedLocked();
       lk.unlock();
       if (drained) idle_cv_.notify_all();
     }
@@ -953,34 +894,9 @@ void ExpService::ContinuationLoop() {
 // DeterministicExecutor
 // ---------------------------------------------------------------------------
 
-DeterministicExecutor::DeterministicExecutor(ExpService::Options options)
-    : options_(std::move(options)),
-      owned_registry_(options_.registry == nullptr
-                          ? std::make_unique<obs::Registry>()
-                          : nullptr),
-      registry_(options_.registry != nullptr ? options_.registry
-                                             : owned_registry_.get()),
-      core_(options_.engine_name, options_.engine_options,
-            options_.engine_cache_capacity, options_.blind_seed, registry_) {
-  if (options_.workers == 0) options_.workers = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  BindServiceMetrics(*registry_, &metrics_);
-  if (options_.scheduler == SchedulerKind::kStealing) {
-    StealScheduler::Config config;
-    config.workers = options_.workers;
-    config.enable_pairing = options_.enable_pairing;
-    config.work_stealing = options_.work_stealing;
-    config.unpair_timeout = options_.unpair_timeout;
-    config.max_batch = options_.max_batch;
-    config.registry = registry_;
-    config.tracer = options_.tracer;
-    sched_ = std::make_unique<StealScheduler>(config);
-  }
-  worker_busy_.assign(options_.workers, false);
-}
-
-std::uint64_t DeterministicExecutor::TraceId(const Job& job) {
-  return job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
+DeterministicExecutor::DeterministicExecutor(ExpServiceOptions options)
+    : dispatcher_(std::move(options)) {
+  worker_busy_.assign(dispatcher_.options().workers, false);
 }
 
 void DeterministicExecutor::Schedule(std::uint64_t tick,
@@ -992,49 +908,25 @@ void DeterministicExecutor::Schedule(std::uint64_t tick,
   events_.push(std::move(event));
 }
 
-void DeterministicExecutor::EnterQueue(Job job, std::uint64_t key,
-                                       bool pairable) {
-  job.submit_tick = now_;
-  const std::uint64_t id = job.id;
-  metrics_.jobs_submitted.Increment();
-  if (options_.tracer != nullptr && options_.tracer->enabled()) {
-    options_.tracer->Instant("job.submit", TraceId(job), 0, now_,
-                             {{"job", id}, {"key", key}});
-  }
-  if (sched_ != nullptr) {
-    sched_->Submit(id, key, pairable, now_);
-  } else {
-    queue_.Push(id, key);
-  }
-  pending_.emplace(id, std::move(job));
-}
-
 std::future<DeterministicExecutor::Result> DeterministicExecutor::SubmitAt(
     std::uint64_t tick, BigUInt modulus, BigUInt base, BigUInt exponent,
     ExpJobOptions job_options, Callback callback) {
-  core_.ValidateModulus(modulus);
-  const bool pairable = core_.Pairable(job_options);
-  if (!job_options.exponent_blind_order.IsZero() &&
-      job_options.exponent_blind_bits == 0) {
-    throw std::invalid_argument(
-        "ExpService: exponent_blind_bits must be >= 1 when blinding");
-  }
-  auto job = std::make_shared<Job>();
-  job->id = next_id_++;
-  job->spec.modulus = std::move(modulus);
-  job->spec.base = std::move(base);
-  job->spec.exponent = std::move(exponent);
-  job->spec.options = std::move(job_options);
-  job->callback = std::move(callback);
-  std::future<Result> future = job->promise.get_future();
-  std::uint64_t key = job->spec.modulus.BitLength();
-  if (!pairable && sched_ == nullptr) {
-    key = (std::uint64_t{1} << 62) | next_solo_key_++;
-  }
-  const std::uint64_t deadline = job->spec.options.deadline;
-  const std::uint64_t id = job->id;
-  Schedule(tick, [this, job, key, pairable] {
-    EnterQueue(std::move(*job), key, pairable);
+  return SubmitJobAt(tick, dispatcher_.Prepare(std::move(modulus),
+                                               std::move(base),
+                                               std::move(exponent),
+                                               std::move(job_options),
+                                               std::move(callback)));
+}
+
+std::future<DeterministicExecutor::Result> DeterministicExecutor::SubmitJobAt(
+    std::uint64_t tick, Dispatcher::Job job) {
+  dispatcher_.AssignId(&job);
+  std::future<Result> future = job.promise.get_future();
+  const std::uint64_t deadline = job.spec.options.deadline;
+  const std::uint64_t id = job.id;
+  auto shared = std::make_shared<Dispatcher::Job>(std::move(job));
+  Schedule(tick, [this, shared] {
+    dispatcher_.Enter(std::move(*shared), now_);
     TryDispatch();
   });
   if (deadline != 0) {
@@ -1046,88 +938,27 @@ std::future<DeterministicExecutor::Result> DeterministicExecutor::SubmitAt(
   return future;
 }
 
-void DeterministicExecutor::CancelIfQueued(std::uint64_t id) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // already claimed by a worker
-  const bool removed =
-      sched_ != nullptr ? sched_->Cancel(id) : queue_.Remove(id);
-  if (!removed) return;
-  Job job = std::move(it->second);
-  pending_.erase(it);
-  FinishCancelled(std::move(job));
-}
-
-void DeterministicExecutor::FinishCancelled(Job job) {
-  metrics_.jobs_cancelled.Increment();
-  if (options_.tracer != nullptr && options_.tracer->enabled()) {
-    options_.tracer->Instant("job.cancelled", TraceId(job), 0, now_,
-                             {{"job", job.id}});
-  }
-  JobRecord record;
-  record.id = job.id;
-  record.submit_tick = job.submit_tick;
-  record.start_tick = now_;
-  record.finish_tick = now_;
-  record.cancelled = true;
-  records_.push_back(record);
-  ExpResult result;
-  result.cancelled = true;
-  result.stats.cancelled = 1;
-  job.promise.set_value(result);
-  if (job.callback) {
-    try {
-      job.callback(result);
-    } catch (...) {
-    }
-  }
-}
-
 std::pair<std::future<DeterministicExecutor::Result>,
           std::future<DeterministicExecutor::Result>>
 DeterministicExecutor::SubmitPairAt(std::uint64_t tick, BigUInt modulus_a,
                                     BigUInt base_a, BigUInt exponent_a,
                                     BigUInt modulus_b, BigUInt base_b,
                                     BigUInt exponent_b) {
-  core_.ValidateModulus(modulus_a);
-  core_.ValidateModulus(modulus_b);
-  if (modulus_a.BitLength() != modulus_b.BitLength()) {
-    auto first = SubmitAt(tick, std::move(modulus_a), std::move(base_a),
-                          std::move(exponent_a));
-    auto second = SubmitAt(tick, std::move(modulus_b), std::move(base_b),
-                           std::move(exponent_b));
+  Dispatcher::PreparedPair pair = dispatcher_.PreparePair(
+      std::move(modulus_a), std::move(base_a), std::move(exponent_a),
+      std::move(modulus_b), std::move(base_b), std::move(exponent_b));
+  if (!pair.bonded) {
+    auto first = SubmitJobAt(tick, std::move(pair.jobs[0]));
+    auto second = SubmitJobAt(tick, std::move(pair.jobs[1]));
     return {std::move(first), std::move(second)};
   }
-  auto job_a = std::make_shared<Job>();
-  auto job_b = std::make_shared<Job>();
-  job_a->id = next_id_++;
-  job_b->id = next_id_++;
-  job_a->spec.modulus = std::move(modulus_a);
-  job_a->spec.base = std::move(base_a);
-  job_a->spec.exponent = std::move(exponent_a);
-  job_b->spec.modulus = std::move(modulus_b);
-  job_b->spec.base = std::move(base_b);
-  job_b->spec.exponent = std::move(exponent_b);
-  std::future<Result> first = job_a->promise.get_future();
-  std::future<Result> second = job_b->promise.get_future();
-  Schedule(tick, [this, job_a, job_b] {
-    job_a->submit_tick = now_;
-    job_b->submit_tick = now_;
-    metrics_.jobs_submitted.Add(2);
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      options_.tracer->Instant("job.submit", TraceId(*job_a), 0, now_,
-                               {{"job", job_a->id}, {"bonded", 1}});
-      options_.tracer->Instant("job.submit", TraceId(*job_b), 0, now_,
-                               {{"job", job_b->id}, {"bonded", 1}});
-    }
-    if (sched_ != nullptr) {
-      sched_->SubmitBonded(job_a->id, job_b->id, now_);
-    } else {
-      const std::uint64_t key = (std::uint64_t{1} << 63) | next_bond_key_++;
-      queue_.Push(job_a->id, key, /*bonded=*/true);
-      queue_.Push(job_b->id, key, /*bonded=*/true);
-    }
-    pending_.emplace(job_a->id, std::move(*job_a));
-    pending_.emplace(job_b->id, std::move(*job_b));
+  for (Dispatcher::Job& job : pair.jobs) dispatcher_.AssignId(&job);
+  std::future<Result> first = pair.jobs[0].promise.get_future();
+  std::future<Result> second = pair.jobs[1].promise.get_future();
+  auto shared =
+      std::make_shared<std::array<Dispatcher::Job, 2>>(std::move(pair.jobs));
+  Schedule(tick, [this, shared] {
+    dispatcher_.EnterBonded(std::move(*shared), now_);
     TryDispatch();
   });
   return {std::move(first), std::move(second)};
@@ -1143,30 +974,26 @@ void DeterministicExecutor::PostAt(std::uint64_t tick,
   });
 }
 
-std::vector<StealScheduler::Issue> DeterministicExecutor::AcquireFor(
-    std::size_t worker) {
-  std::vector<StealScheduler::Issue> issues;
-  if (sched_ != nullptr) {
-    sched_->AcquireBatch(worker, now_, &issues);
-    return issues;
-  }
-  const auto popped = queue_.Pop(options_.enable_pairing);
-  if (popped.has_value()) {
-    StealScheduler::Issue issue;
-    issue.ids = popped->ids;
-    issue.count = popped->count;
-    issue.bonded = popped->bonded;
-    issues.push_back(issue);
-  }
-  return issues;
+void DeterministicExecutor::CancelIfQueued(std::uint64_t id) {
+  if (auto job = dispatcher_.CancelQueued(id)) FinishCancelled(std::move(*job));
+}
+
+void DeterministicExecutor::FinishCancelled(Dispatcher::Job job) {
+  JobRecord record;
+  record.id = job.id;
+  record.submit_tick = job.submit_tick;
+  record.start_tick = now_;
+  record.finish_tick = now_;
+  record.cancelled = true;
+  records_.push_back(record);
+  dispatcher_.FinishCancelled(std::move(job), now_);
 }
 
 void DeterministicExecutor::ScheduleHoldWake() {
-  if (sched_ == nullptr) return;
   bool any_idle = false;
   for (const bool busy : worker_busy_) any_idle = any_idle || !busy;
   if (!any_idle) return;
-  const auto deadline = sched_->NextHoldDeadline();
+  const auto deadline = dispatcher_.NextHoldDeadline();
   if (!deadline.has_value()) return;
   const std::uint64_t tick = std::max(*deadline, now_);
   if (hold_wake_scheduled_ && hold_wake_tick_ <= tick) return;
@@ -1179,129 +1006,49 @@ void DeterministicExecutor::ScheduleHoldWake() {
 }
 
 void DeterministicExecutor::TryDispatch() {
-  struct Unit {
-    StealScheduler::Issue issue;
-    std::vector<Job> jobs;
-    ExecutionCore::Outcome outcome;
-    std::uint64_t start = 0;
-  };
   bool progress = true;
   while (progress) {
     progress = false;
     for (std::size_t w = 0; w < worker_busy_.size(); ++w) {
       if (worker_busy_[w]) continue;
-      std::vector<StealScheduler::Issue> issues = AcquireFor(w);
-      if (issues.empty()) continue;
+      std::vector<Dispatcher::Group> groups = dispatcher_.Claim(w, now_);
+      if (groups.empty()) continue;
       progress = true;
       worker_busy_[w] = true;
       std::uint64_t start = now_;
-      for (const StealScheduler::Issue& issue : issues) {
-        auto unit = std::make_shared<Unit>();
-        unit->issue = issue;
-        unit->jobs.reserve(issue.count);
-        for (std::size_t i = 0; i < issue.count; ++i) {
-          auto it = pending_.find(issue.ids[i]);
-          unit->jobs.push_back(std::move(it->second));
-          pending_.erase(it);
-        }
-        // Claim-time deadline gate (mirrors the threaded worker): a job
+      for (Dispatcher::Group& group : groups) {
+        // Claim-time deadline gate (as in the threaded worker): a job
         // claimed at the very tick its deadline fires — before the
         // cancellation event ran — is still cancelled, never dispatched.
-        {
-          const auto live_end = std::stable_partition(
-              unit->jobs.begin(), unit->jobs.end(), [this](const Job& job) {
-                const std::uint64_t deadline = job.spec.options.deadline;
-                return deadline == 0 || now_ < deadline;
-              });
-          for (auto it = live_end; it != unit->jobs.end(); ++it) {
-            FinishCancelled(std::move(*it));
-          }
-          unit->jobs.erase(live_end, unit->jobs.end());
+        Dispatcher::Gate(&group, now_);
+        for (Dispatcher::Job& job : group.expired) {
+          FinishCancelled(std::move(job));
         }
-        if (unit->jobs.empty()) {
+        group.expired.clear();
+        if (group.jobs.empty()) {
           // The whole group expired: retire it without occupying the
           // worker's virtual array for any ticks.
-          if (sched_ != nullptr) sched_->OnGroupDone();
+          dispatcher_.Publish(&group, now_);
           continue;
-        }
-        std::array<const ExecutionCore::JobSpec*, 2> specs{};
-        for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-          specs[i] = &unit->jobs[i].spec;
         }
         // The values are computed eagerly (they are time-independent);
         // only the *completion* is timestamped, at the group's modelled
         // array occupancy past its start tick.
-        unit->outcome = core_.RunGroup(
-            std::span<const ExecutionCore::JobSpec* const>(
-                specs.data(), unit->jobs.size()));
+        dispatcher_.Run(&group);
         std::uint64_t duration = 0;
-        if (unit->outcome.error == nullptr) {
-          if (unit->outcome.paired) {
-            duration = unit->outcome.results[0].stats.engine_cycles;
+        if (group.outcome.error == nullptr) {
+          if (group.outcome.paired) {
+            duration = group.outcome.results[0].stats.engine_cycles;
           } else {
-            for (const ExpResult& result : unit->outcome.results) {
+            for (const ExpResult& result : group.outcome.results) {
               duration += result.stats.engine_cycles;
             }
           }
         }
-        unit->start = start;
-        const std::uint64_t finish = start + duration;
-        Schedule(finish, [this, unit, w] {
-          if (unit->outcome.paired) {
-            metrics_.pair_issues.Increment();
-          } else {
-            metrics_.single_issues.Add(unit->jobs.size());
-          }
-          metrics_.jobs_completed.Add(unit->jobs.size());
-          if (sched_ != nullptr) sched_->OnGroupDone();
-          if (options_.tracer != nullptr && options_.tracer->enabled()) {
-            for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-              const EngineStats& stats = unit->outcome.results[i].stats;
-              options_.tracer->Complete(
-                  "job.run", TraceId(unit->jobs[i]), w, unit->start, now_,
-                  {{"mmm_invocations", stats.mmm_invocations},
-                   {"engine_cycles", stats.engine_cycles},
-                   {"paired", unit->outcome.paired ? 1u : 0u},
-                   {"stolen", unit->issue.stolen ? 1u : 0u}});
-            }
-          }
-          for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-            JobRecord record;
-            record.id = unit->jobs[i].id;
-            record.submit_tick = unit->jobs[i].submit_tick;
-            record.start_tick = unit->start;
-            record.finish_tick = now_;
-            record.worker = w;
-            record.paired = unit->outcome.paired;
-            record.stolen = unit->issue.stolen;
-            record.unpaired_by_timeout = unit->issue.unpaired_by_timeout;
-            record.bonded = unit->issue.bonded;
-            records_.push_back(record);
-          }
-          if (unit->outcome.error != nullptr) {
-            for (Job& job : unit->jobs) {
-              try {
-                job.promise.set_exception(unit->outcome.error);
-              } catch (const std::future_error&) {
-              }
-            }
-            return;
-          }
-          for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-            ExpResult& result = unit->outcome.results[i];
-            result.stolen = unit->issue.stolen;
-            result.unpaired_by_timeout = unit->issue.unpaired_by_timeout;
-            unit->jobs[i].promise.set_value(result);
-          }
-          for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-            if (!unit->jobs[i].callback) continue;
-            try {
-              unit->jobs[i].callback(unit->outcome.results[i]);
-            } catch (...) {
-            }
-          }
-        });
-        start = finish;
+        group.start = start;
+        start += duration;
+        auto running = std::make_shared<Dispatcher::Group>(std::move(group));
+        Schedule(start, [this, running] { Complete(running.get()); });
       }
       Schedule(start, [this, w] {
         worker_busy_[w] = false;
@@ -1310,6 +1057,25 @@ void DeterministicExecutor::TryDispatch() {
     }
   }
   ScheduleHoldWake();
+}
+
+void DeterministicExecutor::Complete(Dispatcher::Group* group) {
+  dispatcher_.Publish(group, now_);
+  for (const Dispatcher::Job& job : group->jobs) {
+    JobRecord record;
+    record.id = job.id;
+    record.submit_tick = job.submit_tick;
+    record.start_tick = group->start;
+    record.finish_tick = now_;
+    record.worker = group->worker;
+    record.paired = group->outcome.paired;
+    record.stolen = group->issue.stolen;
+    record.unpaired_by_timeout = group->issue.unpaired_by_timeout;
+    record.bonded = group->issue.bonded;
+    records_.push_back(record);
+  }
+  Dispatcher::Resolve(group);
+  dispatcher_.Retire(*group);
 }
 
 void DeterministicExecutor::RunUntilIdle() {
@@ -1322,28 +1088,6 @@ void DeterministicExecutor::RunUntilIdle() {
     event.action();
   }
   running_ = false;
-}
-
-ExpService::Counters DeterministicExecutor::Snapshot() const {
-  ExpService::Counters counters;
-  counters.jobs_submitted = metrics_.jobs_submitted.Value();
-  counters.jobs_completed = metrics_.jobs_completed.Value();
-  counters.deadline_exceeded = metrics_.jobs_cancelled.Value();
-  counters.pair_issues = metrics_.pair_issues.Value();
-  counters.single_issues = metrics_.single_issues.Value();
-  if (sched_ != nullptr) {
-    const StealScheduler::Stats stats = sched_->GetStats();
-    counters.steals = stats.steals;
-    counters.holds = stats.holds;
-    counters.hold_pairs = stats.hold_pairs;
-    counters.unpair_timeouts = stats.unpair_timeouts;
-    counters.batch_acquires = stats.batch_acquires;
-    counters.max_batch_claimed = stats.max_batch_claimed;
-  }
-  counters.engine_cache_hits = core_.CacheHits();
-  counters.engine_cache_misses = core_.CacheMisses();
-  counters.engine_cache_evictions = core_.CacheEvictions();
-  return counters;
 }
 
 }  // namespace mont::core

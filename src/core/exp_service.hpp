@@ -14,20 +14,23 @@
 //   * a worker pool whose per-modulus multiplication engines are
 //     LRU-cached, so repeated traffic on one key pays the R^2-mod-N
 //     precomputation once (core/schedule.hpp LruCache);
-//   * the v2 scheduler (core/schedule.hpp StealScheduler): per-worker
+//   * the scheduling core (core/schedule.hpp StealScheduler): per-worker
 //     deques with cross-worker work stealing, hold-for-pairing with an
 //     age-based unpair timeout, and adaptive batch claims — two queued
 //     jobs of equal operand length are issued together onto one
 //     dual-channel interleaved array, where each pair of MMMs costs 3l+5
-//     cycles instead of the sequential 2(3l+4) = 6l+8.  The v1 shared
-//     PairingQueue is selectable via Options::scheduler for A/B benches.
+//     cycles instead of the sequential 2(3l+4) = 6l+8.  Its v1 mode (one
+//     shared queue) is selectable via Options::scheduler for A/B benches.
 //
-// Every scheduling decision is tick-driven behind an injectable Clock,
-// and the threaded ExpService is a thin shell over the same scheduler +
-// execution code (ExecutionCore) that the single-threaded
-// DeterministicExecutor replays in virtual time — which is how the
-// stealing/unpair/pipelining policy is unit-tested and benchmarked
-// deterministically on any host.
+// One Dispatcher holds everything about a job that is not threads or
+// time: submit validation, the pending-job table, the scheduler, issue
+// group claim / deadline gate / execution (ExecutionCore) / completion,
+// and the jobs.*/issues.* metrics and job.* trace events.  It takes the
+// current tick on every call.  The threaded ExpService and the
+// single-threaded DeterministicExecutor are two shells that drive it —
+// one with worker threads and a steady clock, the other with an event
+// queue in virtual time — which is how the stealing/unpair/pipelining
+// policy is unit-tested and benchmarked deterministically on any host.
 //
 // The multiplication backend is selected per service through the engine
 // registry (Options::engine_name, core/engine.hpp) — any registered
@@ -46,6 +49,7 @@
 // model.  All execution paths are bit-identical; tests assert it.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -53,6 +57,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -101,16 +106,6 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a,
                              const bignum::BigUInt& exp_b,
                              InterleavedMmmc* array = nullptr);
 
-/// Which scheduling core dispatches jobs to workers.
-enum class SchedulerKind {
-  /// V1 (PR 3): one shared PairingQueue, pairing resolved at pop time.
-  /// Kept as the A/B baseline bench_exp_service compares against.
-  kSharedQueue,
-  /// V2: per-worker deques + work stealing + hold-for-pairing with an
-  /// age-based unpair timeout + adaptive batch claims (StealScheduler).
-  kStealing,
-};
-
 /// Per-job execution options (the service-wide Options stay the
 /// defaults).
 struct ExpJobOptions {
@@ -134,7 +129,7 @@ struct ExpJobOptions {
   /// deadline has passed when a worker claims it is *cancelled before
   /// engine dispatch*: its future resolves with ExpResult::cancelled set
   /// (value empty, stats.cancelled = 1), its callback still fires, and
-  /// the service counts it under Counters::deadline_exceeded.  A job
+  /// the service counts it under jobs.cancelled.  A job
   /// already handed to an engine is never aborted mid-multiply — the
   /// deadline bounds queueing, not execution.
   std::uint64_t deadline = 0;
@@ -179,8 +174,8 @@ struct ExpResult {
 class ExecutionCore {
  public:
   /// `registry` (may be null) receives the engine.* counters: cycle and
-  /// operation aggregates published per executed group, plus mirrors of
-  /// the engine-cache hit/miss/eviction tallies.
+  /// operation aggregates published per executed group, plus the
+  /// engine-cache hit/miss/eviction tallies.
   ExecutionCore(std::string engine_name, EngineOptions engine_options,
                 std::size_t cache_capacity, std::uint64_t blind_seed,
                 obs::Registry* registry = nullptr);
@@ -217,9 +212,6 @@ class ExecutionCore {
 
   const std::string& engine_name() const { return engine_name_; }
   const EngineOptions& engine_options() const { return engine_options_; }
-  std::uint64_t CacheHits() const;
-  std::uint64_t CacheMisses() const;
-  std::uint64_t CacheEvictions() const;
 
  private:
   bignum::BigUInt EffectiveExponent(const JobSpec& spec);
@@ -233,8 +225,8 @@ class ExecutionCore {
   std::mutex blind_mu_;  // guards blind_rng_ only
   bignum::RandomBigUInt blind_rng_;
 
-  mutable std::mutex cache_mu_;  // independent of the service mutex
-  mutable LruCache<std::string, std::shared_ptr<const MmmEngine>> cache_;
+  std::mutex cache_mu_;  // independent of the service mutex
+  LruCache<std::string, std::shared_ptr<const MmmEngine>> cache_;
 
   struct {
     obs::Counter engine_cycles;
@@ -248,7 +240,213 @@ class ExecutionCore {
   } metrics_;
 };
 
-/// Thread-safe batched/async exponentiation service.
+
+/// Service-wide options, shared by ExpService (as ExpService::Options)
+/// and DeterministicExecutor.
+struct ExpServiceOptions {
+  std::size_t workers = 2;  ///< worker threads (>= 1; each owns one array)
+  /// Distinct moduli whose engines stay precomputed.
+  std::size_t engine_cache_capacity = 8;
+  /// Issue two equal-length queued jobs per array pass (3l+5 per MMM
+  /// pair); disable to force one job per pass (for A/B benches).  Jobs
+  /// on a backend without pairable streams
+  /// (EngineCaps::pairable_streams false — the word-serial datapaths)
+  /// always issue solo regardless, so no backend reports fictitious
+  /// dual-channel throughput.
+  bool enable_pairing = true;
+  /// Registry name of the multiplication backend a job runs on when it
+  /// does not carry its own ExpJobOptions::engine_name override.
+  std::string engine_name = "bit-serial";
+  /// Backend construction options; field = kGf2 turns the service into
+  /// a GF(2^m) field-exponentiation service (needs a dual-field
+  /// backend; the constructor throws on a capability mismatch).  These
+  /// options apply to per-job engine overrides too.
+  EngineOptions engine_options;
+  /// Seed of the service's exponent-blinding stream (deterministic;
+  /// used only by jobs that request ExpJobOptions::exponent_blind_order).
+  std::uint64_t blind_seed = 0x0b11d5eedull;
+
+  // --- scheduler knobs -------------------------------------------------
+  /// Scheduling mode (v2 stealing by default; v1 shared queue for A/B).
+  SchedulerKind scheduler = SchedulerKind::kStealing;
+  /// Ticks (nanoseconds on the default clock) a lone hot-key job may
+  /// be held waiting for a pairing partner before the age-based unpair
+  /// timeout releases it solo.
+  std::uint64_t unpair_timeout = 200'000;
+  /// Idle workers steal the oldest group from other deques (v2 only).
+  bool work_stealing = true;
+  /// Upper bound of one adaptive batch claim (v2 only; >= 1).
+  std::size_t max_batch = 8;
+  /// Injected tick source for the scheduler's timing decisions; null
+  /// uses a steady nanosecond clock.  Tests inject a ManualClock (the
+  /// timed waits then poll).  Must outlive the service.
+  const Clock* clock = nullptr;
+  /// Fault-injection/observability hook: called by each worker thread,
+  /// outside the service lock, immediately before it executes an issue
+  /// group.  The chaos harness uses it to stall a worker; it must not
+  /// call back into the service.  Null disables it.
+  std::function<void(std::size_t worker)> worker_observer;
+
+  // --- observability ---------------------------------------------------
+  /// Metrics registry absorbing every service counter (jobs.*,
+  /// issues.*, engine.*, sched.*) behind stable dotted names.  Null:
+  /// the service owns a private registry, read through registry().
+  /// Must outlive the service.
+  obs::Registry* registry = nullptr;
+  /// Span tracer for the job lifecycle (job.submit, sched.*, job.run,
+  /// job.cancelled).  Null disables tracing; a disabled tracer costs
+  /// one relaxed load per site.  Must outlive the service.
+  obs::Tracer* tracer = nullptr;
+};
+
+// ---------------------------------------------------------------------------
+// Dispatcher — the one dispatch core both service shells drive
+// ---------------------------------------------------------------------------
+
+/// Everything about serving a job that is not threads or time: submit
+/// validation, the pending-job table and id assignment, the scheduling
+/// core, issue-group claim / deadline gate / execution / completion, the
+/// jobs.* and issues.* metrics (with the jobs.conservation invariant:
+/// submitted == completed + cancelled on a drained service) and the
+/// job.submit / job.run / job.cancelled trace events.
+///
+/// Externally synchronised: the caller serialises every call except the
+/// ones marked thread-safe.  It owns no threads and no clock — every
+/// call that makes a timing decision takes the current tick.  One issue
+/// group's life is Claim → Gate → Run → Publish → Resolve → Retire; the
+/// threaded shell holds its lock around Claim, Publish and Retire only.
+/// That order guarantees: counters and the scheduler's OnGroupDone are
+/// published before any promise resolves; every promise of a group
+/// resolves before any callback runs; jobs.completed retires after the
+/// callbacks, so a drained service has run every completion hook.
+class Dispatcher {
+ public:
+  using Callback = std::function<void(const ExpResult&)>;
+
+  struct Job {
+    std::uint64_t id = 0;  ///< 0 until AssignId/Enter numbers it
+    ExecutionCore::JobSpec spec;
+    bool pairable = false;  ///< its backend can share a dual-channel array
+    std::promise<ExpResult> promise;
+    Callback callback;
+    std::uint64_t submit_tick = 0;  ///< set by Enter
+  };
+
+  /// Two validated jobs from SubmitPair: `bonded` when they may share
+  /// one array; otherwise (unequal bit lengths) the caller submits them
+  /// as two plain jobs.
+  struct PreparedPair {
+    std::array<Job, 2> jobs;
+    bool bonded = false;
+  };
+
+  /// One claimed issue group.
+  struct Group {
+    StealScheduler::Issue issue;
+    std::size_t worker = 0;
+    std::vector<Job> jobs;     ///< live jobs, in issue order
+    std::vector<Job> expired;  ///< moved here by Gate
+    ExecutionCore::Outcome outcome;  ///< set by Run
+    std::uint64_t start = 0;  ///< start tick of the job.run spans
+  };
+
+  /// Normalises the options (workers and max_batch at least 1) and
+  /// builds the execution core and the scheduler; throws
+  /// std::invalid_argument for an unknown or field-mismatched engine.
+  explicit Dispatcher(ExpServiceOptions options);
+
+  // --- submission -------------------------------------------------------
+  /// Validates one job (throws std::invalid_argument for an invalid
+  /// modulus, an unknown engine, a field-capability mismatch or blinding
+  /// with zero bits).  Thread-safe.
+  Job Prepare(bignum::BigUInt modulus, bignum::BigUInt base,
+              bignum::BigUInt exponent, ExpJobOptions options,
+              Callback callback) const;
+  /// Validates both halves of a pair before either is submitted.
+  /// Thread-safe.
+  PreparedPair PreparePair(bignum::BigUInt modulus_a, bignum::BigUInt base_a,
+                           bignum::BigUInt exponent_a,
+                           bignum::BigUInt modulus_b, bignum::BigUInt base_b,
+                           bignum::BigUInt exponent_b) const;
+  /// Numbers a job now (Enter numbers any job still at id 0); the
+  /// deterministic executor numbers jobs at submit-call time.
+  void AssignId(Job* job) { job->id = next_id_++; }
+  /// Queues a job at `now` (opportunistic pairing key: its operand bit
+  /// length — any two jobs of equal l can share one array).
+  void Enter(Job job, std::uint64_t now);
+  /// Queues a bonded pair as one group: a worker never observes one half
+  /// without the other.
+  void EnterBonded(std::array<Job, 2> jobs, std::uint64_t now);
+
+  // --- claim and execution ----------------------------------------------
+  /// Claims the next issue groups for `worker` and takes their jobs out
+  /// of the pending table.
+  std::vector<Group> Claim(std::size_t worker, std::uint64_t now);
+  /// Claim-time deadline gate, the last point before engine dispatch:
+  /// moves every job whose deadline has passed at `now` to
+  /// group->expired.  A pair with one expired half runs solo.
+  static void Gate(Group* group, std::uint64_t now);
+  /// Executes the live jobs and stamps each result with the group's
+  /// scheduling provenance.  Thread-safe (touches only the group and the
+  /// internally locked ExecutionCore).
+  void Run(Group* group);
+  /// Takes a still-queued job (not yet claimed) out of the scheduler for
+  /// an exact-tick deadline; nullopt once it was claimed.
+  std::optional<Job> CancelQueued(std::uint64_t id);
+  /// Resolves one job as deadline-cancelled at `now`: jobs.cancelled,
+  /// the job.cancelled event, its promise, then its callback.
+  void FinishCancelled(Job job, std::uint64_t now);
+
+  // --- completion -------------------------------------------------------
+  /// Counts what actually ran (a 2-job group whose backends could not
+  /// co-schedule counts as two single issues) and the expired jobs,
+  /// retires the group from the scheduler, and emits job.run spans over
+  /// [group->start, now] and job.cancelled events at `now`.
+  void Publish(Group* group, std::uint64_t now);
+  /// Resolves every promise of the group (expired ones with the typed
+  /// cancelled result, never an exception), then runs the callbacks.
+  /// Callback exceptions are contained.  Thread-safe.
+  static void Resolve(Group* group);
+  /// Counts the group's live jobs as completed.
+  void Retire(const Group& group);
+
+  /// Nothing queued (claimed groups may still be executing).
+  bool Idle() const { return sched_.Idle(); }
+  /// Earliest tick a held job becomes claimable, if any is held.
+  std::optional<std::uint64_t> NextHoldDeadline() const {
+    return sched_.NextHoldDeadline();
+  }
+  const ExpServiceOptions& options() const { return options_; }
+  obs::Registry& registry() const { return *registry_; }
+
+ private:
+  /// The id stamped on the job's trace events: options.trace_id, or the
+  /// job id when that is 0.
+  static std::uint64_t TraceId(const Job& job);
+  bool Tracing() const {
+    return options_.tracer != nullptr && options_.tracer->enabled();
+  }
+
+  ExpServiceOptions options_;
+  /// Backs registry() when Options::registry is null (declared before
+  /// core_ and sched_, which publish into it).
+  std::unique_ptr<obs::Registry> owned_registry_;
+  obs::Registry* registry_ = nullptr;
+  ExecutionCore core_;
+  StealScheduler sched_;
+  std::unordered_map<std::uint64_t, Job> pending_;
+  std::uint64_t next_id_ = 1;
+  struct {
+    obs::Counter jobs_submitted;
+    obs::Counter jobs_completed;
+    obs::Counter jobs_cancelled;
+    obs::Counter pair_issues;
+    obs::Counter single_issues;
+  } metrics_;
+};
+
+/// Thread-safe batched/async exponentiation service: worker threads and
+/// a continuation thread around one Dispatcher.
 ///
 /// Jobs execute on the registry backend named in Options (bit-identical
 /// across backends, with cycles charged per each engine's validated
@@ -256,62 +454,7 @@ class ExecutionCore {
 /// hardware-faithful cycle accounting per job.
 class ExpService {
  public:
-  struct Options {
-    std::size_t workers = 2;  ///< worker threads (>= 1; each owns one array)
-    /// Distinct moduli whose engines stay precomputed.
-    std::size_t engine_cache_capacity = 8;
-    /// Issue two equal-length queued jobs per array pass (3l+5 per MMM
-    /// pair); disable to force one job per pass (for A/B benches).  Jobs
-    /// on a backend without pairable streams
-    /// (EngineCaps::pairable_streams false — the word-serial datapaths)
-    /// always issue solo regardless, so no backend reports fictitious
-    /// dual-channel throughput.
-    bool enable_pairing = true;
-    /// Registry name of the multiplication backend a job runs on when it
-    /// does not carry its own ExpJobOptions::engine_name override.
-    std::string engine_name = "bit-serial";
-    /// Backend construction options; field = kGf2 turns the service into
-    /// a GF(2^m) field-exponentiation service (needs a dual-field
-    /// backend; the constructor throws on a capability mismatch).  These
-    /// options apply to per-job engine overrides too.
-    EngineOptions engine_options;
-    /// Seed of the service's exponent-blinding stream (deterministic;
-    /// used only by jobs that request ExpJobOptions::exponent_blind_order).
-    std::uint64_t blind_seed = 0x0b11d5eedull;
-
-    // --- scheduler v2 knobs --------------------------------------------
-    /// Scheduling core (v2 stealing by default; v1 shared queue for A/B).
-    SchedulerKind scheduler = SchedulerKind::kStealing;
-    /// Ticks (nanoseconds on the default clock) a lone hot-key job may
-    /// be held waiting for a pairing partner before the age-based unpair
-    /// timeout releases it solo.
-    std::uint64_t unpair_timeout = 200'000;
-    /// Idle workers steal the oldest group from other deques (v2 only).
-    bool work_stealing = true;
-    /// Upper bound of one adaptive batch claim (v2 only; >= 1).
-    std::size_t max_batch = 8;
-    /// Injected tick source for the scheduler's timing decisions; null
-    /// uses a steady nanosecond clock.  Tests inject a ManualClock (the
-    /// timed waits then poll).  Must outlive the service.
-    const Clock* clock = nullptr;
-    /// Fault-injection/observability hook: called by each worker thread,
-    /// outside the service lock, immediately before it executes an issue
-    /// group.  The chaos harness uses it to stall a worker; it must not
-    /// call back into the service.  Null disables it.
-    std::function<void(std::size_t worker)> worker_observer;
-
-    // --- observability -------------------------------------------------
-    /// Metrics registry absorbing every service counter (jobs.*,
-    /// issues.*, engine.*, sched.*) behind stable dotted names.  Null:
-    /// the service owns a private registry — Snapshot() and registry()
-    /// read the same counters either way.  Must outlive the service.
-    obs::Registry* registry = nullptr;
-    /// Span tracer for the job lifecycle (job.submit, sched.*, job.run,
-    /// job.cancelled).  Null disables tracing; a disabled tracer costs
-    /// one relaxed load per site.  Must outlive the service.
-    obs::Tracer* tracer = nullptr;
-  };
-
+  using Options = ExpServiceOptions;
   using JobOptions = ExpJobOptions;
   using Result = ExpResult;
   using Callback = std::function<void(const Result&)>;
@@ -367,94 +510,35 @@ class ExpService {
   /// Blocks until every job submitted so far has completed.
   void Wait();
 
-  /// Compat snapshot of the registry-backed counters.  The obs::Registry
-  /// (Options::registry, or the service's private one — see registry())
-  /// is the single source of truth; Snapshot() materialises this struct
-  /// from it so existing callers keep their field names.
-  struct Counters {
-    std::uint64_t jobs_submitted = 0;
-    /// Jobs that executed to completion.  Conservation: on a drained
-    /// service, jobs_submitted == jobs_completed + deadline_exceeded.
-    std::uint64_t jobs_completed = 0;
-    /// Jobs cancelled at claim time because their deadline had passed —
-    /// dropped before engine dispatch, futures resolved with
-    /// ExpResult::cancelled (no silent drops).
-    std::uint64_t deadline_exceeded = 0;
-    /// Issues that actually co-scheduled two jobs onto one dual-channel
-    /// array.  A bonded pair whose backends cannot pair (no pairable
-    /// streams, unequal lengths) executes — and is counted — as two
-    /// solo issues instead.
-    std::uint64_t pair_issues = 0;
-    std::uint64_t single_issues = 0;  ///< jobs issued solo
-    std::uint64_t engine_cache_hits = 0;
-    std::uint64_t engine_cache_misses = 0;
-    std::uint64_t engine_cache_evictions = 0;
-    // --- v2 scheduler counters (zero under kSharedQueue) ---------------
-    std::uint64_t steals = 0;           ///< groups taken from another deque
-    std::uint64_t holds = 0;            ///< jobs held waiting for a partner
-    std::uint64_t hold_pairs = 0;       ///< holds that found a partner
-    std::uint64_t unpair_timeouts = 0;  ///< holds released solo by timeout
-    std::uint64_t batch_acquires = 0;   ///< multi-group batch claims
-    std::uint64_t max_batch_claimed = 0;
-  };
-  Counters Snapshot() const;
-
   /// The metrics registry every counter lives in: Options::registry when
   /// provided, the service's private one otherwise.  Registered names:
   /// jobs.submitted / jobs.completed / jobs.cancelled, issues.paired /
   /// issues.single, engine.*, sched.* — plus the jobs.conservation
   /// invariant (submitted == completed + cancelled on a drained
   /// service).
-  obs::Registry& registry() const { return *registry_; }
+  obs::Registry& registry() const { return dispatcher_.registry(); }
 
-  const Options& options() const { return options_; }
+  const Options& options() const { return dispatcher_.options(); }
 
  private:
-  struct Job {
-    std::uint64_t id = 0;
-    ExecutionCore::JobSpec spec;
-    std::promise<Result> promise;
-    Callback callback;
-  };
-
-  std::uint64_t NowTicks() const;
-  std::future<Result> Enqueue(Job job, std::uint64_t key, bool pairable);
+  std::future<Result> Enqueue(Dispatcher::Job job);
   void WorkerLoop(std::size_t index);
-  /// Acquires the next issue batch for `index`, waiting as needed.
+  /// Claims the next issue groups for `index`, waiting as needed.
   /// Returns false when the worker should exit (stopping and drained).
-  bool AcquireIssues(std::size_t index, std::unique_lock<std::mutex>& lk,
-                     std::vector<StealScheduler::Issue>* issues);
-  bool QueueDrainedLocked() const;
+  bool ClaimLocked(std::size_t index, std::unique_lock<std::mutex>& lk,
+                   std::vector<Dispatcher::Group>* groups);
+  bool DrainedLocked() const { return dispatcher_.Idle() && in_flight_ == 0; }
   void ContinuationLoop();
 
-  Options options_;
-  /// Backs registry() when Options::registry is null (declared before
-  /// core_, which publishes into it).
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_ = nullptr;
-  ExecutionCore core_;
   SteadyClock steady_clock_;
   const Clock* clock_ = nullptr;
 
   mutable std::mutex mu_;            // guards everything below it
   std::condition_variable cv_;       // queue became non-empty / stopping
   std::condition_variable idle_cv_;  // queue drained and no job in flight
-  PairingQueue queue_;               // v1 core (kSharedQueue)
-  std::unique_ptr<StealScheduler> sched_;  // v2 core (kStealing)
-  std::unordered_map<std::uint64_t, Job> pending_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_bond_key_ = 0;
-  std::uint64_t next_solo_key_ = 0;
-  std::size_t in_flight_ = 0;
+  Dispatcher dispatcher_;
+  std::size_t in_flight_ = 0;  // claimed jobs not yet retired
   bool stop_ = false;
-  struct ServiceMetrics {
-    obs::Counter jobs_submitted;
-    obs::Counter jobs_completed;
-    obs::Counter jobs_cancelled;  // deadline_exceeded in the compat struct
-    obs::Counter pair_issues;
-    obs::Counter single_issues;
-  };
-  ServiceMetrics metrics_;
 
   std::mutex cont_mu_;  // guards the continuation queue only
   std::condition_variable cont_cv_;
@@ -466,17 +550,17 @@ class ExpService {
 };
 
 // ---------------------------------------------------------------------------
-// DeterministicExecutor — the scheduler in virtual time
+// DeterministicExecutor — the dispatch core in virtual time
 // ---------------------------------------------------------------------------
 
 /// Single-threaded discrete-event replay of the service: the same
-/// ExecutionCore runs the jobs and the same scheduling core (v1 or v2,
-/// per Options::scheduler) makes every dispatch decision, but time is a
-/// virtual tick counter and "workers" are simulated array channels whose
-/// job durations are the modelled engine cycles.  Every stealing /
-/// hold / unpair / batch decision is therefore an exact, replayable
-/// function of the submitted workload — the property tests and the
-/// multi-tenant stress bench run here, immune to host timing.
+/// Dispatcher validates, schedules (v1 or v2, per Options::scheduler),
+/// runs and completes every job, but time is a virtual tick counter and
+/// "workers" are simulated array channels whose job durations are the
+/// modelled engine cycles.  Every stealing / hold / unpair / batch
+/// decision is therefore an exact, replayable function of the submitted
+/// workload — the property tests and the multi-tenant stress bench run
+/// here, immune to host timing.
 ///
 /// Usage: schedule arrivals with SubmitAt()/SubmitPairAt()/PostAt(),
 /// then RunUntilIdle().  Callbacks fire at the job's virtual completion
@@ -486,7 +570,7 @@ class DeterministicExecutor {
   using Result = ExpResult;
   using Callback = std::function<void(const Result&)>;
 
-  explicit DeterministicExecutor(ExpService::Options options);
+  explicit DeterministicExecutor(ExpServiceOptions options);
 
   std::future<Result> SubmitAt(std::uint64_t tick, bignum::BigUInt modulus,
                                bignum::BigUInt base, bignum::BigUInt exponent,
@@ -522,27 +606,11 @@ class DeterministicExecutor {
   };
   const std::vector<JobRecord>& Records() const { return records_; }
 
-  ExpService::Counters Snapshot() const;
-  /// V2 scheduler stats (null under kSharedQueue).  The pointee is a
-  /// snapshot refreshed by each call — copy it before the next call.
-  const StealScheduler::Stats* SchedulerStats() const {
-    if (sched_ == nullptr) return nullptr;
-    sched_stats_ = sched_->GetStats();
-    return &sched_stats_;
-  }
-
   /// The metrics registry (Options::registry or the executor's private
   /// one); same dotted names as the threaded service.
-  obs::Registry& registry() const { return *registry_; }
+  obs::Registry& registry() const { return dispatcher_.registry(); }
 
  private:
-  struct Job {
-    std::uint64_t id = 0;
-    ExecutionCore::JobSpec spec;
-    std::promise<Result> promise;
-    Callback callback;
-    std::uint64_t submit_tick = 0;
-  };
   struct Event {
     std::uint64_t tick = 0;
     std::uint64_t seq = 0;  ///< schedule order: total, deterministic tie-break
@@ -555,49 +623,30 @@ class DeterministicExecutor {
   };
 
   void Schedule(std::uint64_t tick, std::function<void()> action);
-  /// The id stamped on this job's trace events (options.trace_id or the
-  /// executor-assigned job id).
-  static std::uint64_t TraceId(const Job& job);
-  void EnterQueue(Job job, std::uint64_t key, bool pairable);
+  /// Numbers the job now and schedules its arrival (plus, with a
+  /// deadline, its exact-tick cancellation) at `tick`.
+  std::future<Result> SubmitJobAt(std::uint64_t tick, Dispatcher::Job job);
   /// Deadline event: if `id` is still queued (un-claimed, possibly held
   /// for pairing), releases it from the scheduler and resolves it
   /// cancelled at the current tick.  No-op once the job was dispatched.
   void CancelIfQueued(std::uint64_t id);
-  /// Resolves `job` as deadline-cancelled at the current tick.
-  void FinishCancelled(Job job);
+  /// Records `job` as deadline-cancelled at the current tick and
+  /// resolves it.
+  void FinishCancelled(Dispatcher::Job job);
   void TryDispatch();
-  /// Claims the next issues for an idle worker (mode-dependent).
-  std::vector<StealScheduler::Issue> AcquireFor(std::size_t worker);
+  /// Completion event of one executed group.
+  void Complete(Dispatcher::Group* group);
   void ScheduleHoldWake();
 
-  ExpService::Options options_;
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_ = nullptr;
-  ExecutionCore core_;
-  std::unique_ptr<StealScheduler> sched_;  // kStealing
-  PairingQueue queue_;                     // kSharedQueue
-
+  Dispatcher dispatcher_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint64_t now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool running_ = false;
 
-  std::unordered_map<std::uint64_t, Job> pending_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_bond_key_ = 0;
-  std::uint64_t next_solo_key_ = 0;
   std::vector<bool> worker_busy_;
   std::uint64_t hold_wake_tick_ = 0;
   bool hold_wake_scheduled_ = false;
-
-  struct {
-    obs::Counter jobs_submitted;
-    obs::Counter jobs_completed;
-    obs::Counter jobs_cancelled;
-    obs::Counter pair_issues;
-    obs::Counter single_issues;
-  } metrics_;
-  mutable StealScheduler::Stats sched_stats_;  // SchedulerStats() storage
   std::vector<JobRecord> records_;
 };
 

@@ -1,8 +1,8 @@
-// schedule.cpp — the v2 scheduling core (StealScheduler) and the steady
-// tick source.  The policy here is pure and externally synchronised; the
-// threaded ExpService and the DeterministicExecutor are both thin shells
-// over exactly this code, which is what makes the scheduler's behaviour
-// unit-testable tick by tick.
+// schedule.cpp — the scheduling core (StealScheduler, both modes) and
+// the steady tick source.  The policy here is pure and externally
+// synchronised; the threaded ExpService and the DeterministicExecutor
+// both reach it through one Dispatcher, which is what makes the
+// scheduler's behaviour unit-testable tick by tick.
 #include "core/schedule.hpp"
 
 #include <algorithm>
@@ -28,13 +28,13 @@ void ManualClock::Set(std::uint64_t tick) {
 
 StealScheduler::StealScheduler(Config config) : config_(config) {
   if (config_.workers == 0) config_.workers = 1;
-  if (config_.max_batch == 0) config_.max_batch = 1;
-  deques_.resize(config_.workers);
-  obs::Registry* registry = config_.registry;
-  if (registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry = owned_registry_.get();
-  }
+  const bool shared = config_.kind == SchedulerKind::kSharedQueue;
+  // The shared-queue mode: one deque every worker claims from, one group
+  // per claim (no holds: Submit never classifies a key as hot).
+  if (config_.max_batch == 0 || shared) config_.max_batch = 1;
+  deques_.resize(shared ? 1 : config_.workers);
+  obs::Registry* const registry = config_.registry;
+  if (registry == nullptr) return;
   metrics_.dispatched_groups = registry->GetCounter("sched.dispatched_groups");
   metrics_.pairs_formed = registry->GetCounter("sched.pairs_formed");
   metrics_.bonded_groups = registry->GetCounter("sched.bonded_groups");
@@ -45,22 +45,6 @@ StealScheduler::StealScheduler(Config config) : config_(config) {
   metrics_.batch_acquires = registry->GetCounter("sched.batch_acquires");
   metrics_.cancelled = registry->GetCounter("sched.cancelled");
   metrics_.max_batch_claimed = registry->GetGauge("sched.max_batch_claimed");
-}
-
-StealScheduler::Stats StealScheduler::GetStats() const {
-  Stats stats;
-  stats.dispatched_groups = metrics_.dispatched_groups.Value();
-  stats.pairs_formed = metrics_.pairs_formed.Value();
-  stats.bonded_groups = metrics_.bonded_groups.Value();
-  stats.holds = metrics_.holds.Value();
-  stats.hold_pairs = metrics_.hold_pairs.Value();
-  stats.unpair_timeouts = metrics_.unpair_timeouts.Value();
-  stats.steals = metrics_.steals.Value();
-  stats.batch_acquires = metrics_.batch_acquires.Value();
-  stats.max_batch_claimed =
-      static_cast<std::uint64_t>(metrics_.max_batch_claimed.Value());
-  stats.cancelled = metrics_.cancelled.Value();
-  return stats;
 }
 
 bool StealScheduler::RecordArrivalAndClassify(std::uint64_t key,
@@ -84,12 +68,13 @@ bool StealScheduler::RecordArrivalAndClassify(std::uint64_t key,
 void StealScheduler::Dispatch(Group group) {
   // Least-loaded deque; ties resolve round-robin so equal-load dispatch
   // spreads instead of piling onto worker 0.
-  std::size_t best = rr_cursor_ % config_.workers;
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    const std::size_t candidate = (rr_cursor_ + i) % config_.workers;
+  const std::size_t n = deques_.size();
+  std::size_t best = rr_cursor_ % n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t candidate = (rr_cursor_ + i) % n;
     if (deques_[candidate].size() < deques_[best].size()) best = candidate;
   }
-  rr_cursor_ = (best + 1) % config_.workers;
+  rr_cursor_ = (best + 1) % n;
   queued_jobs_ += group.count;
   metrics_.dispatched_groups.Increment();
   deques_[best].push_back(std::move(group));
@@ -109,7 +94,8 @@ void StealScheduler::Submit(std::uint64_t id, std::uint64_t key,
     Dispatch(std::move(solo));
     return;
   }
-  const bool hot = RecordArrivalAndClassify(key, now);
+  const bool hot = config_.kind == SchedulerKind::kStealing &&
+                   RecordArrivalAndClassify(key, now);
   // 1. A held partner on this key: form the pair and dispatch it.
   for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
     if (it->key != key) continue;
@@ -132,8 +118,8 @@ void StealScheduler::Submit(std::uint64_t id, std::uint64_t key,
     Dispatch(std::move(pair));
     return;
   }
-  // 2. An un-acquired solo group on this key: join it in place (this is
-  //    what the v1 queue gets from pairing-at-pop; v2 keeps it).
+  // 2. An un-acquired solo group on this key: join it in place (the only
+  //    pairing the shared-queue mode does).
   const auto open = open_solos_.find(key);
   if (open != open_solos_.end()) {
     Group* group = open->second;
@@ -180,8 +166,8 @@ void StealScheduler::Submit(std::uint64_t id, std::uint64_t key,
 void StealScheduler::SubmitBonded(std::uint64_t id_a, std::uint64_t id_b,
                                   std::uint64_t now) {
   if (!config_.enable_pairing) {
-    // Matches the v1 semantics: with pairing disabled the bonded halves
-    // still execute, just as two solo issues.
+    // With pairing disabled the bonded halves still execute, just as two
+    // solo issues.
     Group first, second;
     first.ids[0] = id_a;
     first.count = 1;
@@ -235,13 +221,14 @@ std::optional<StealScheduler::Issue> StealScheduler::Acquire(
       if (it->ready_at > now) continue;
       if (ready == waiting_.end() || it->arrival < ready->arrival) ready = it;
     }
-    const bool own = !deques_[worker].empty();
+    const std::size_t home = Home(worker);
+    const bool own = !deques_[home].empty();
     // Oldest-arrival wins between the worker's own deque front and the
     // ready held job, so holding can delay a job by at most its timeout —
     // never starve it behind fresher deque traffic.
     if (own && (ready == waiting_.end() ||
-                deques_[worker].front().arrival <= ready->arrival)) {
-      if (auto issue = PopGroup(worker, /*stolen=*/false)) return issue;
+                deques_[home].front().arrival <= ready->arrival)) {
+      if (auto issue = PopGroup(home, /*stolen=*/false)) return issue;
       continue;
     }
     if (ready != waiting_.end()) {
@@ -262,8 +249,8 @@ std::optional<StealScheduler::Issue> StealScheduler::Acquire(
     }
     if (config_.work_stealing) {
       bool popped_shell = false;
-      for (std::size_t i = 1; i < config_.workers; ++i) {
-        const std::size_t victim = (worker + i) % config_.workers;
+      for (std::size_t i = 1; i < deques_.size(); ++i) {
+        const std::size_t victim = (worker + i) % deques_.size();
         if (deques_[victim].empty()) continue;
         if (auto issue = PopGroup(victim, /*stolen=*/true)) {
           if (config_.tracer != nullptr) {
@@ -355,7 +342,7 @@ std::optional<std::uint64_t> StealScheduler::NextHoldDeadline() const {
 bool StealScheduler::Idle() const { return queued_jobs_ == 0; }
 
 std::size_t StealScheduler::QueueDepth(std::size_t worker) const {
-  return deques_[worker].size();
+  return deques_[Home(worker)].size();
 }
 
 }  // namespace mont::core

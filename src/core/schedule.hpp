@@ -9,26 +9,25 @@
 // The second half of the file holds the data structures the batched
 // exponentiation service (core/exp_service.hpp) schedules with:
 //
-//   * PairingQueue — the v1 scheduler: a single FIFO of job ids tagged
-//     with a compatibility key; popping pairs the oldest job with the
-//     oldest later job sharing its key, so two independent
-//     exponentiations can occupy the two channels of one dual-channel
-//     array (two MMMs in 3l+5 cycles instead of 6l+8).  A job with no
-//     partner still pops alone — nothing starves.  Kept as the A/B
-//     baseline the v2 scheduler is benchmarked against.
-//   * StealScheduler — the v2 scheduler: per-worker deques with
+//   * StealScheduler — the one scheduling core, in two modes.  The v2
+//     mode (SchedulerKind::kStealing) keeps per-worker deques with
 //     cross-worker work stealing, hold-for-pairing with an age-based
 //     unpair timeout (a lone job on a hot key briefly waits for a
 //     partner instead of issuing solo), and adaptive batch claims under
-//     backlog.  Every timing decision takes an explicit tick, so the
-//     whole policy replays deterministically under a virtual clock.
+//     backlog.  The v1 mode (kSharedQueue), the A/B baseline, is one
+//     shared FIFO with no holds, no steals and one group per claim: a
+//     job pairs only with a same-length job still queued, so two
+//     independent exponentiations can occupy the two channels of one
+//     dual-channel array (two MMMs in 3l+5 cycles instead of 6l+8).
+//     Every timing decision takes an explicit tick, so the whole policy
+//     replays deterministically under a virtual clock.
 //   * LruCache — the per-modulus engine cache: repeated traffic on one
 //     key reuses the precomputed Montgomery context instead of paying
 //     the R^2-mod-N precomputation again.
 //
-// All are single-threaded building blocks; the service serialises access
-// under its queue mutex.  They are kept here, std-only, so the scheduler
-// policy is unit-testable without threads.
+// Both are single-threaded building blocks; the service serialises
+// access under its queue mutex.  They are kept here, std-only, so the
+// scheduler policy is unit-testable without threads.
 #pragma once
 
 #include <array>
@@ -36,7 +35,6 @@
 #include <cstddef>
 #include <deque>
 #include <list>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -108,79 +106,6 @@ constexpr std::uint64_t PairedMultiplyCycles(std::size_t l) {
 }
 
 // ---------------------------------------------------------------------------
-// Service scheduling structures
-// ---------------------------------------------------------------------------
-
-/// FIFO queue of job ids with same-key pairing on pop.
-///
-/// Keys encode dual-channel compatibility (for the exponentiation service:
-/// the operand bit length l, since both channels of one array share the
-/// cell count).  Ids pushed with `bonded = true` pair only with their bond
-/// partner (the next bonded push with the same key) — used when a caller
-/// such as RSA-CRT wants its two half-exponentiations co-scheduled — while
-/// regular ids pair opportunistically.
-class PairingQueue {
- public:
-  /// Up to two job ids popped as one dual-channel issue.
-  struct Issue {
-    std::array<std::uint64_t, 2> ids{};
-    std::size_t count = 0;
-    bool bonded = false;
-  };
-
-  void Push(std::uint64_t id, std::uint64_t key, bool bonded = false) {
-    entries_.push_back(Entry{id, key, bonded});
-  }
-
-  /// Pops the oldest entry; with `allow_pairing` it also claims the oldest
-  /// later entry with the same key (bonded entries only claim their bond
-  /// partner; opportunistic entries skip over bonded ones, which are
-  /// reserved for their partners).  FIFO order of first issue is never
-  /// violated, and an unpairable entry still issues alone.
-  std::optional<Issue> Pop(bool allow_pairing = true) {
-    if (entries_.empty()) return std::nullopt;
-    Issue issue;
-    const Entry front = entries_.front();
-    entries_.pop_front();
-    issue.ids[0] = front.id;
-    issue.count = 1;
-    issue.bonded = front.bonded;
-    if (!allow_pairing) return issue;
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->key != front.key) continue;
-      if (it->bonded != front.bonded) continue;
-      issue.ids[1] = it->id;
-      issue.count = 2;
-      entries_.erase(it);
-      break;
-    }
-    return issue;
-  }
-
-  /// Removes a queued id (deadline cancellation before dispatch).  Returns
-  /// false when the id is not queued (already popped or never pushed).
-  bool Remove(std::uint64_t id) {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->id != id) continue;
-      entries_.erase(it);
-      return true;
-    }
-    return false;
-  }
-
-  bool Empty() const { return entries_.empty(); }
-  std::size_t Size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::uint64_t id;
-    std::uint64_t key;
-    bool bonded;
-  };
-  std::list<Entry> entries_;
-};
-
-// ---------------------------------------------------------------------------
 // Clocks — every scheduler timing decision goes through one of these
 // ---------------------------------------------------------------------------
 
@@ -214,15 +139,28 @@ class ManualClock final : public Clock {
 };
 
 // ---------------------------------------------------------------------------
-// StealScheduler — the v2 scheduling core
+// StealScheduler — the scheduling core
 // ---------------------------------------------------------------------------
 
-/// Scheduler v2: per-worker deques + work stealing + adaptive pairing.
+/// Which mode the scheduling core runs in.
+enum class SchedulerKind {
+  /// V1: one shared FIFO deque, no holds, no steals, one group per
+  /// claim.  A job joins a same-key solo group still queued, else queues
+  /// alone.  Kept as the A/B baseline bench_exp_service compares
+  /// against.
+  kSharedQueue,
+  /// V2: per-worker deques + work stealing + hold-for-pairing with an
+  /// age-based unpair timeout + adaptive batch claims.
+  kStealing,
+};
+
+/// The scheduling core: per-worker deques + work stealing + adaptive
+/// pairing (v2), or one shared deque (v1, SchedulerKind::kSharedQueue).
 ///
-/// The v1 PairingQueue pairs whatever happens to be queued at pop time,
-/// so under sparse arrivals (shallow queue) almost everything issues
-/// solo and the dual-channel array runs at half throughput; and one
-/// shared queue serialises every worker on one lock.  V2 fixes both:
+/// The v1 mode pairs only what happens to be queued together, so under
+/// sparse arrivals (shallow queue) almost everything issues solo and the
+/// dual-channel array runs at half throughput; and one shared queue
+/// serialises every worker on one lock.  V2 fixes both:
 ///
 ///   * Formed issue groups (pairs, bonded pairs, solos) are dispatched
 ///     to the least-loaded worker's deque; an idle worker whose own
@@ -248,6 +186,7 @@ class ManualClock final : public Clock {
 class StealScheduler {
  public:
   struct Config {
+    SchedulerKind kind = SchedulerKind::kStealing;
     std::size_t workers = 2;
     bool enable_pairing = true;
     /// Idle workers steal from other deques (ring order, oldest first).
@@ -256,9 +195,8 @@ class StealScheduler {
     std::uint64_t unpair_timeout = 200'000;
     /// Upper bound of one adaptive batch claim (lower bound is 1).
     std::size_t max_batch = 8;
-    /// Metrics registry backing the sched.* counters.  When null the
-    /// scheduler owns a private registry; GetStats() reads the same
-    /// counters either way.
+    /// Metrics registry receiving the sched.* counters (null: none are
+    /// kept).
     obs::Registry* registry = nullptr;
     /// Span tracer for hold/pair/steal/unpair decision events (ticks are
     /// the ones passed into Submit/Acquire, so DES replays trace
@@ -280,22 +218,12 @@ class StealScheduler {
     std::uint64_t arrival = 0;
   };
 
-  /// Compat snapshot of the sched.* registry counters.  The registry is
-  /// the single source of truth; this struct is only materialised by
-  /// GetStats() so existing callers keep their field names.
-  struct Stats {
-    std::uint64_t dispatched_groups = 0;  ///< groups that entered a deque
-    std::uint64_t pairs_formed = 0;       ///< opportunistic pairs (all paths)
-    std::uint64_t bonded_groups = 0;
-    std::uint64_t holds = 0;         ///< jobs held waiting for a partner
-    std::uint64_t hold_pairs = 0;    ///< holds that found a partner in time
-    std::uint64_t unpair_timeouts = 0;  ///< holds released solo by the timeout
-    std::uint64_t steals = 0;
-    std::uint64_t batch_acquires = 0;     ///< AcquireBatch calls claiming > 1
-    std::uint64_t max_batch_claimed = 0;  ///< largest single batch
-    std::uint64_t cancelled = 0;  ///< jobs removed by Cancel before acquire
-  };
-
+  /// Registers the sched.* counters: dispatched_groups (groups that
+  /// entered a deque), pairs_formed (opportunistic pairs, all paths),
+  /// bonded_groups, holds, hold_pairs (holds that found a partner in
+  /// time), unpair_timeouts (holds released solo), steals,
+  /// batch_acquires (claims of > 1 group), cancelled (jobs removed by
+  /// Cancel before acquire) and the max_batch_claimed gauge.
   explicit StealScheduler(Config config);
 
   /// Submits one job.  `pairable` marks a job whose backend can share a
@@ -303,7 +231,7 @@ class StealScheduler {
   /// groups.  A pairable job pairs with a held partner or an
   /// un-acquired solo group on the same key; a lone hot-key job is held
   /// until `now + unpair_timeout` (cold keys and an otherwise-idle pool
-  /// dispatch immediately).
+  /// dispatch immediately; the shared-queue mode never holds).
   void Submit(std::uint64_t id, std::uint64_t key, bool pairable,
               std::uint64_t now);
 
@@ -315,10 +243,13 @@ class StealScheduler {
   /// Claims one group for `worker`: the oldest-arrival of {own deque
   /// front, oldest ready held job}; otherwise steals the front (oldest)
   /// group of the first non-empty deque in ring order from worker+1.
+  /// In the shared-queue mode every worker's own deque is the one
+  /// shared deque.
   std::optional<Issue> Acquire(std::size_t worker, std::uint64_t now);
 
   /// Claims an adaptive batch: up to clamp(ready/workers, 1, max_batch)
-  /// groups via repeated Acquire.  Appends to `out`, returns the count.
+  /// groups via repeated Acquire (one group in the shared-queue mode).
+  /// Appends to `out`, returns the count.
   std::size_t AcquireBatch(std::size_t worker, std::uint64_t now,
                            std::vector<Issue>* out);
 
@@ -345,7 +276,6 @@ class StealScheduler {
   std::size_t InFlightGroups() const { return in_flight_groups_; }
   std::size_t QueueDepth(std::size_t worker) const;
   std::size_t HeldJobs() const { return waiting_.size(); }
-  Stats GetStats() const;
   const Config& GetConfig() const { return config_; }
 
  private:
@@ -377,6 +307,10 @@ class StealScheduler {
     bool has_gap = false;
   };
 
+  /// The deque `worker` claims from (deque 0 in the shared-queue mode).
+  std::size_t Home(std::size_t worker) const {
+    return worker % deques_.size();
+  }
   void Dispatch(Group group);
   /// Pops the front group of `worker`'s deque, dropping tombstoned slots.
   /// Returns nullopt — and does not count an in-flight group — when every
@@ -399,8 +333,6 @@ class StealScheduler {
   std::size_t rr_cursor_ = 0;  // round-robin tie-break for dispatch
   std::size_t queued_jobs_ = 0;
   std::size_t in_flight_groups_ = 0;
-  /// Backs the sched.* handles when Config::registry is null.
-  std::unique_ptr<obs::Registry> owned_registry_;
   struct {
     obs::Counter dispatched_groups;
     obs::Counter pairs_formed;
@@ -417,7 +349,8 @@ class StealScheduler {
 
 /// Least-recently-used cache, the policy behind the service's per-modulus
 /// engine cache.  Get() refreshes recency; Put() evicts the coldest entry
-/// once `capacity` is exceeded.
+/// once `capacity` is exceeded.  Hit/miss/eviction tallies are the
+/// caller's (ExecutionCore keeps them as engine.cache_* counters).
 template <typename Key, typename Value>
 class LruCache {
  public:
@@ -427,49 +360,40 @@ class LruCache {
   /// The pointer is valid until the next Put().
   Value* Get(const Key& key) {
     const auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
+    if (it == index_.end()) return nullptr;
     order_.splice(order_.begin(), order_, it->second);
     return &it->second->second;
   }
 
   /// Inserts (or replaces) `key`, evicting the least-recently-used entry
-  /// if the cache would exceed capacity.
-  void Put(const Key& key, Value value) {
-    if (capacity_ == 0) return;
+  /// if the cache would exceed capacity.  Returns whether it evicted.
+  bool Put(const Key& key, Value value) {
+    if (capacity_ == 0) return false;
     const auto it = index_.find(key);
     if (it != index_.end()) {
       it->second->second = std::move(value);
       order_.splice(order_.begin(), order_, it->second);
-      return;
+      return false;
     }
-    if (order_.size() == capacity_) {
+    const bool evict = order_.size() == capacity_;
+    if (evict) {
       index_.erase(order_.back().first);
       order_.pop_back();
-      ++evictions_;
     }
     order_.emplace_front(key, std::move(value));
     index_[key] = order_.begin();
+    return evict;
   }
 
   bool Contains(const Key& key) const { return index_.count(key) != 0; }
   std::size_t Size() const { return order_.size(); }
   std::size_t Capacity() const { return capacity_; }
-  std::uint64_t Hits() const { return hits_; }
-  std::uint64_t Misses() const { return misses_; }
-  std::uint64_t Evictions() const { return evictions_; }
 
  private:
   std::size_t capacity_;
   std::list<std::pair<Key, Value>> order_;  // most recent first
   std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator>
       index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace mont::core

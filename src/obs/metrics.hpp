@@ -1,14 +1,10 @@
 // metrics.hpp — the unified metrics registry behind every counter in the
 // serving stack.
 //
-// Before this layer, telemetry was fragmented: ExpService::Counters,
-// StealScheduler::Stats, SigningService::Counters, ChaosLayer::Counters
-// and EngineStats each had their own struct, its own locking story and
-// its own test idiom.  The registry replaces the *storage* of all of
-// them with typed handles behind stable dotted names (jobs.submitted,
-// sched.steals, server.ok, chaos.crt_corruptions, engine.cycles, ...);
-// the old structs survive only as thin compat accessors built from a
-// snapshot, so existing tests keep reading the fields they always read.
+// Every service-layer counter lives here, behind typed handles with
+// stable dotted names (jobs.submitted, sched.steals, server.ok,
+// chaos.crt_corruptions, engine.cycles, ...).  The registry is the only
+// counter API: tests, benches and the STATS verb all read a Snapshot().
 //
 //   * Counter — monotonic u64.  Writes go to one of a small number of
 //     cache-line-padded relaxed-atomic stripes selected per thread, so
@@ -182,8 +178,7 @@ struct MetricsSnapshot {
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  /// Counter value by name (0 when absent) — the compat accessors'
-  /// lookup primitive.
+  /// Counter value by name (0 when absent).
   std::uint64_t CounterValue(const std::string& name) const;
 
   /// One line per metric, sorted — for scorecards and stderr dumps.

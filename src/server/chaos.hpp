@@ -23,12 +23,11 @@
 //
 // The RNG is a single seeded xoshiro stream behind a mutex: runs are
 // reproducible per seed (thread interleaving varies, the *decisions
-// per draw* do not), and counters record every injection so tests can
-// assert faults actually fired.
+// per draw* do not), and chaos.* registry counters record every
+// injection so tests can assert faults actually fired.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 #include "bignum/biguint.hpp"
@@ -56,10 +55,11 @@ struct ChaosOptions {
 
 class ChaosLayer {
  public:
-  /// `registry` (may be null) receives the chaos.* injection counters;
-  /// with null the layer owns a private registry so Snapshot() always
-  /// works.  Pass the SigningService's registry to get one merged
-  /// chaos.* + server.* + jobs.* snapshot from the STATS verb.
+  /// `registry` (may be null: no counters are kept) receives the chaos.*
+  /// injection counters — worker_stalls, crt_corruptions,
+  /// requests_dropped, responses_dropped, frames_garbled.  Pass the
+  /// SigningService's registry to get one merged chaos.* + server.* +
+  /// jobs.* snapshot from the STATS verb.
   explicit ChaosLayer(ChaosOptions options,
                       obs::Registry* registry = nullptr);
 
@@ -79,25 +79,12 @@ class ChaosLayer {
   /// Transport-side delay for a tenant's request (microseconds, 0 = none).
   std::uint64_t SlowTenantDelayMicros(std::uint32_t tenant_id) const;
 
-  /// Compat snapshot of the chaos.* registry counters (the struct the
-  /// chaos suite predates the obs::Registry with).
-  struct Counters {
-    std::uint64_t worker_stalls = 0;
-    std::uint64_t crt_corruptions = 0;
-    std::uint64_t requests_dropped = 0;
-    std::uint64_t responses_dropped = 0;
-    std::uint64_t frames_garbled = 0;
-  };
-  Counters Snapshot() const;
-
  private:
   bool Draw(double rate);
 
   ChaosOptions options_;
   mutable std::mutex mu_;
   bignum::Xoshiro256 rng_;
-  /// Backs the handles when no registry was supplied.
-  std::unique_ptr<obs::Registry> owned_registry_;
   struct {
     obs::Counter worker_stalls;
     obs::Counter crt_corruptions;

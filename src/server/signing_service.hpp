@@ -17,7 +17,7 @@
 //     Bellcore/Lenstra check.  A corrupted half (chaos injection or a real
 //     compute fault) is caught, the request silently retried up to
 //     max_internal_retries, and a bad signature is NEVER released —
-//     Counters::bad_signatures_released exists to let tests assert the
+//     server.bad_signatures_released exists to let tests assert the
 //     zero;
 //   * clean shutdown — the destructor drains in-flight work; internal
 //     retries racing destruction respond kShuttingDown instead of
@@ -113,43 +113,20 @@ class SigningService {
   /// ExpService has retired every job (so counter snapshots are stable).
   void Wait();
 
-  /// Compat snapshot of the server.* registry counters.  The registry
-  /// (registry()) is the storage; this struct is materialised per call
-  /// for tests that predate it.
-  struct Counters {
-    std::uint64_t requests = 0;  ///< decoded payloads seen (incl. pings)
-    std::uint64_t pings = 0;
-    std::uint64_t stats_requests = 0;  ///< STATS verbs answered
-    std::uint64_t admitted = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t rejected_backpressure = 0;
-    std::uint64_t shed_overload = 0;
-    std::uint64_t deadline_exceeded = 0;
-    /// Requests that exhausted max_internal_retries (every attempt caught
-    /// by the Bellcore gate) and were answered kInternalRetrying.
-    std::uint64_t retry_exhausted = 0;
-    std::uint64_t shutdown_refused = 0;
-    std::uint64_t malformed = 0;
-    std::uint64_t unknown_tenant = 0;
-    std::uint64_t unknown_key = 0;
-    /// Bellcore-detected faults (== chaos corruptions that reached
-    /// recombination, plus any real compute fault).
-    std::uint64_t faults_caught = 0;
-    /// Internal re-sign attempts issued after a caught fault.
-    std::uint64_t internal_retries = 0;
-    /// THE invariant counter: a signature released to a client whose
-    /// Bellcore check did not pass.  Structurally unreachable — the only
-    /// kOk path is behind RsaCrtResultOk — and asserted == 0 by the chaos
-    /// suite.
-    std::uint64_t bad_signatures_released = 0;
-  };
-  Counters Snapshot() const;
-  /// Underlying ExpService counters (deadline conservation etc.).
-  core::ExpService::Counters ServiceSnapshot() const;
   /// The metrics registry every counter lives in (server.* + the
   /// ExpService's jobs.*/sched.*/engine.*): Options::service.registry
   /// when that was set, the service's private one otherwise.  What the
-  /// STATS verb renders.
+  /// STATS verb renders.  The server.* counters: requests (decoded
+  /// payloads, incl. pings), pings, stats_requests, admitted, ok,
+  /// rejected_backpressure, shed_overload, deadline_exceeded,
+  /// retry_exhausted (every attempt caught by the Bellcore gate; answered
+  /// kInternalRetrying), shutdown_refused, malformed, unknown_tenant,
+  /// unknown_key, faults_caught (Bellcore-detected faults: chaos
+  /// corruptions that reached recombination plus any real compute
+  /// fault), internal_retries, and bad_signatures_released — THE
+  /// invariant counter: a signature released whose Bellcore check did
+  /// not pass.  Structurally unreachable (the only kOk path is behind
+  /// RsaCrtResultOk) and asserted == 0 by the chaos suite.
   obs::Registry& registry() const { return *registry_; }
   /// Merged metrics snapshot — the STATS verb's source of truth.
   obs::MetricsSnapshot StatsSnapshot() const { return registry_->Snapshot(); }

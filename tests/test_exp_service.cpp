@@ -18,6 +18,7 @@
 #include <chrono>
 #include <future>
 #include <set>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <tuple>
@@ -31,6 +32,7 @@
 #include "core/exponentiator.hpp"
 #include "core/interleaved.hpp"
 #include "core/schedule.hpp"
+#include "obs/metrics.hpp"
 #include "crypto/ecc.hpp"
 #include "crypto/rsa.hpp"
 #include "testutil.hpp"
@@ -209,7 +211,7 @@ struct StressJob {
 // 10k randomized jobs from multiple submitter threads over a pool of mixed
 // moduli (duplicate bit lengths so opportunistic pairing fires), every
 // result checked bit-for-bit against the scalar Exponentiator oracle.
-TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
+void StressManyThreadedJobs(SchedulerKind scheduler) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kJobsPerThread = 2500;
 
@@ -226,6 +228,7 @@ TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
   ExpService::Options options;
   options.workers = 4;
   options.engine_cache_capacity = 6;  // smaller than the pool: forces churn
+  options.scheduler = scheduler;
   ExpService service(options);
 
   std::vector<std::vector<StressJob>> jobs(kThreads);
@@ -280,15 +283,25 @@ TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
     }
   }
 
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.jobs_submitted, kThreads * kJobsPerThread);
-  EXPECT_EQ(counters.jobs_completed, kThreads * kJobsPerThread);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("jobs.submitted"),
+            kThreads * kJobsPerThread);
+  EXPECT_EQ(counters.CounterValue("jobs.completed"),
+            kThreads * kJobsPerThread);
   // With duplicate bit lengths queued from 4 threads, pairing must fire.
-  EXPECT_GT(counters.pair_issues, 0u);
+  EXPECT_GT(counters.CounterValue("issues.paired"), 0u);
   // Repeated moduli must hit the engine cache, and the pool exceeding the
   // capacity must evict.
-  EXPECT_GT(counters.engine_cache_hits, 0u);
-  EXPECT_GT(counters.engine_cache_evictions, 0u);
+  EXPECT_GT(counters.CounterValue("engine.cache_hits"), 0u);
+  EXPECT_GT(counters.CounterValue("engine.cache_evictions"), 0u);
+}
+
+TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
+  StressManyThreadedJobs(SchedulerKind::kStealing);
+}
+
+TEST(ExpService, StressManyThreadedJobsMatchScalarOracleSharedQueue) {
+  StressManyThreadedJobs(SchedulerKind::kSharedQueue);
 }
 
 // Paired (dual-channel) and unpaired execution must agree bit for bit.
@@ -435,7 +448,9 @@ TEST(ExpService, NamedBackendsProduceIdenticalResults) {
     // The pairing credit belongs to the array-schedule family only; a
     // word-serial backend silently falls back to solo issue.
     if (!EngineRegistry::Global().Find(name)->caps.pairable_streams) {
-      EXPECT_EQ(service.Snapshot().pair_issues, 0u) << name;
+      EXPECT_EQ(
+          service.registry().Snapshot().CounterValue("issues.paired"), 0u)
+          << name;
     }
   }
 }
@@ -476,7 +491,7 @@ TEST(ExpService, Gf2FieldExponentiationService) {
     exponents.push_back(inv_exponent);
   }
   for (auto& future : service.SubmitBatch(f, bases, exponents)) future.get();
-  EXPECT_GT(service.Snapshot().pair_issues, 0u);
+  EXPECT_GT(service.registry().Snapshot().CounterValue("issues.paired"), 0u);
   // Field-polynomial validation: f(0) must be 1 and deg(f) >= 2.
   EXPECT_THROW(service.Submit(BigUInt{0x12}, BigUInt{1}, BigUInt{1}),
                std::invalid_argument);
@@ -494,16 +509,16 @@ TEST(ExpService, EngineCacheReusesHotModulus) {
   for (int j = 0; j < 6; ++j) {
     service.Submit(n, rng.Below(n), rng.Below(n)).get();
   }
-  auto counters = service.Snapshot();
-  EXPECT_EQ(counters.engine_cache_misses, 1u);
-  EXPECT_EQ(counters.engine_cache_hits, 5u);
+  obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("engine.cache_misses"), 1u);
+  EXPECT_EQ(counters.CounterValue("engine.cache_hits"), 5u);
   // Rotating through more moduli than the cache holds must evict.
   for (const std::size_t bits : {16u, 24u, 40u}) {
     const BigUInt other = rng.OddExactBits(bits);
     service.Submit(other, rng.Below(other), rng.Below(other)).get();
   }
-  counters = service.Snapshot();
-  EXPECT_GT(counters.engine_cache_evictions, 0u);
+  counters = service.registry().Snapshot();
+  EXPECT_GT(counters.CounterValue("engine.cache_evictions"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -580,10 +595,11 @@ TEST(ExpServiceJobOptions, MixedEngineStressMatchesScalarOracle) {
       }
     }
   }
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.jobs_completed, kThreads * kJobsPerThread);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("jobs.completed"),
+            kThreads * kJobsPerThread);
   // Pairable jobs of equal length still pair around the solo overrides.
-  EXPECT_GT(counters.pair_issues, 0u);
+  EXPECT_GT(counters.CounterValue("issues.paired"), 0u);
 }
 
 TEST(ExpServiceJobOptions, OverrideFallsBackToServiceDefault) {
@@ -605,8 +621,8 @@ TEST(ExpServiceJobOptions, OverrideFallsBackToServiceDefault) {
   EXPECT_EQ(via_default, via_override);
   EXPECT_EQ(via_default, Exponentiator(n).ModExp(base, exponent));
   // Both backends (and only those) populated the cache.
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.engine_cache_misses, 2u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("engine.cache_misses"), 2u);
 }
 
 // A non-pairable *default* backend must not disable pairing for jobs
@@ -640,7 +656,7 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
     ASSERT_EQ(via_override.value, want);
     EXPECT_FALSE(via_default.paired) << "word-serial default must issue solo";
   }
-  EXPECT_GT(service.Snapshot().pair_issues, 0u)
+  EXPECT_GT(service.registry().Snapshot().CounterValue("issues.paired"), 0u)
       << "equal-length pairable overrides must co-schedule";
 }
 
@@ -664,9 +680,9 @@ TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
   EXPECT_EQ(result_b.value, BigUInt::ModExp(base, exponent, n_b));
   EXPECT_FALSE(result_a.paired);
   EXPECT_FALSE(result_b.paired);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.pair_issues, 0u);
-  EXPECT_EQ(counters.single_issues, 2u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("issues.paired"), 0u);
+  EXPECT_EQ(counters.CounterValue("issues.single"), 2u);
 }
 
 TEST(ExpServiceJobOptions, RejectsUnknownOrMismatchedOverride) {
@@ -752,7 +768,7 @@ TEST(ExpServiceCrypto, RsaSignBatchMatchesScalarPaths) {
   }
   // The pipelined CRT submits halves independently; the scheduler still
   // pairs the equal-length streams (same message or across messages).
-  EXPECT_GT(service.Snapshot().pair_issues, 0u);
+  EXPECT_GT(service.registry().Snapshot().CounterValue("issues.paired"), 0u);
 }
 
 TEST(ExpServiceCrypto, EccScalarMulBatchMatchesScalarMul) {
@@ -805,6 +821,22 @@ std::uint64_t BusyCycles(
   return busy;
 }
 
+// FNV-1a-64 over every field of every record, in record order — pins a
+// whole schedule to one number.
+std::uint64_t RecordsDigest(
+    const std::vector<DeterministicExecutor::JobRecord>& records) {
+  std::string text;
+  for (const auto& r : records) {
+    text += std::to_string(r.id) + ':' + std::to_string(r.submit_tick) + ':' +
+            std::to_string(r.start_tick) + ':' +
+            std::to_string(r.finish_tick) + ':' + std::to_string(r.worker) +
+            ':' + char('0' + r.paired) + char('0' + r.stolen) +
+            char('0' + r.unpaired_by_timeout) + char('0' + r.bonded) +
+            char('0' + r.cancelled) + ';';
+  }
+  return test::Fnv1a64(text);
+}
+
 // Virtual duration of one solo job on `n` under the default backend.
 std::uint64_t CalibrateSoloTicks(const BigUInt& n, const BigUInt& base,
                                  const BigUInt& exponent) {
@@ -840,12 +872,11 @@ TEST(DeterministicExecutor, VirtualClockDrivesHoldPairAndUnpairDecisions) {
   exec.SubmitAt(30, n, base, exponent);
   exec.RunUntilIdle();
 
-  const auto counters = exec.Snapshot();
-  EXPECT_EQ(counters.jobs_completed, 4u);
-  ASSERT_NE(exec.SchedulerStats(), nullptr);
-  EXPECT_EQ(exec.SchedulerStats()->holds, 2u);
-  EXPECT_EQ(exec.SchedulerStats()->hold_pairs, 1u);
-  EXPECT_EQ(exec.SchedulerStats()->unpair_timeouts, 1u);
+  const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("jobs.completed"), 4u);
+  EXPECT_EQ(counters.CounterValue("sched.holds"), 2u);
+  EXPECT_EQ(counters.CounterValue("sched.hold_pairs"), 1u);
+  EXPECT_EQ(counters.CounterValue("sched.unpair_timeouts"), 1u);
 
   const auto& records = exec.Records();
   ASSERT_EQ(records.size(), 4u);
@@ -887,8 +918,7 @@ TEST(DeterministicExecutor, IdleWorkersStealFromLoadedDeques) {
     futures.push_back(exec.SubmitAt(0, n, rng.Below(n), rng.Below(n)));
   }
   exec.RunUntilIdle();
-  ASSERT_NE(exec.SchedulerStats(), nullptr);
-  EXPECT_GT(exec.SchedulerStats()->steals, 0u);
+  EXPECT_GT(exec.registry().Snapshot().CounterValue("sched.steals"), 0u);
   bool any_stolen_record = false;
   for (const auto& record : exec.Records()) {
     any_stolen_record = any_stolen_record || record.stolen;
@@ -906,7 +936,7 @@ TEST(DeterministicExecutor, IdleWorkersStealFromLoadedDeques) {
     pinned.SubmitAt(0, n, rng.Below(n), rng.Below(n));
   }
   pinned.RunUntilIdle();
-  EXPECT_EQ(pinned.SchedulerStats()->steals, 0u);
+  EXPECT_EQ(pinned.registry().Snapshot().CounterValue("sched.steals"), 0u);
   // Stealing can only help the virtual makespan.
   EXPECT_LE(exec.Now(), pinned.Now());
 }
@@ -930,14 +960,17 @@ TEST(DeterministicExecutor, ReplayFromSameTraceIsBitIdentical) {
       tick += rng.Engine().NextBelow(20'000);
     }
     exec.RunUntilIdle();
-    return std::make_tuple(exec.Records(), exec.Snapshot(), exec.Now());
+    return std::make_tuple(exec.Records(), exec.registry().Snapshot(),
+                           exec.Now());
   };
   const auto [records_a, counters_a, makespan_a] = run();
   const auto [records_b, counters_b, makespan_b] = run();
   EXPECT_EQ(makespan_a, makespan_b);
-  EXPECT_EQ(counters_a.pair_issues, counters_b.pair_issues);
-  EXPECT_EQ(counters_a.steals, counters_b.steals);
-  EXPECT_EQ(counters_a.unpair_timeouts, counters_b.unpair_timeouts);
+  for (const char* name :
+       {"issues.paired", "sched.steals", "sched.unpair_timeouts"}) {
+    EXPECT_EQ(counters_a.CounterValue(name), counters_b.CounterValue(name))
+        << name;
+  }
   ASSERT_EQ(records_a.size(), records_b.size());
   for (std::size_t j = 0; j < records_a.size(); ++j) {
     EXPECT_EQ(records_a[j].id, records_b[j].id);
@@ -994,13 +1027,14 @@ TEST(DeterministicExecutor, DeadlineCancelsHeldJobAtExactTick) {
     EXPECT_TRUE(callback_cancelled);
     EXPECT_EQ(result.stats.cancelled, 1u);
 
-    const auto counters = exec.Snapshot();
-    EXPECT_EQ(counters.jobs_submitted, 4u);
-    EXPECT_EQ(counters.deadline_exceeded, 1u);
-    // Conservation: submitted == completed + deadline_exceeded.
-    EXPECT_EQ(counters.jobs_submitted,
-              counters.jobs_completed + counters.deadline_exceeded);
-    EXPECT_EQ(exec.SchedulerStats()->cancelled, 1u);
+    const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+    EXPECT_EQ(counters.CounterValue("jobs.submitted"), 4u);
+    EXPECT_EQ(counters.CounterValue("jobs.cancelled"), 1u);
+    // Conservation: submitted == completed + cancelled.
+    EXPECT_EQ(counters.CounterValue("jobs.submitted"),
+              counters.CounterValue("jobs.completed") +
+                  counters.CounterValue("jobs.cancelled"));
+    EXPECT_EQ(counters.CounterValue("sched.cancelled"), 1u);
 
     const auto& records = exec.Records();
     EXPECT_EQ(records.size(), 4u);
@@ -1046,10 +1080,11 @@ TEST(DeterministicExecutor, ExpiredDeadlineCancelsBeforeDispatch) {
   exec.RunUntilIdle();
   EXPECT_TRUE(doomed.get().cancelled);
   EXPECT_FALSE(live.get().cancelled);
-  const auto counters = exec.Snapshot();
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.jobs_submitted,
-            counters.jobs_completed + counters.deadline_exceeded);
+  const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("jobs.cancelled"), 1u);
+  EXPECT_EQ(counters.CounterValue("jobs.submitted"),
+            counters.CounterValue("jobs.completed") +
+                counters.CounterValue("jobs.cancelled"));
 }
 
 // Threaded service: the same deadline contract (claim-time cancellation,
@@ -1074,11 +1109,12 @@ TEST(ExpService, DeadlineCancelledJobResolvesTypedAndConserves) {
   EXPECT_TRUE(doomed.get().cancelled);
   EXPECT_TRUE(callback_cancelled);
   EXPECT_FALSE(live.get().cancelled);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.jobs_submitted, 2u);
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.jobs_submitted,
-            counters.jobs_completed + counters.deadline_exceeded);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("jobs.submitted"), 2u);
+  EXPECT_EQ(counters.CounterValue("jobs.cancelled"), 1u);
+  EXPECT_EQ(counters.CounterValue("jobs.submitted"),
+            counters.CounterValue("jobs.completed") +
+                counters.CounterValue("jobs.cancelled"));
 }
 
 // The acceptance scenario in the small: on sparse same-key traffic that
@@ -1105,15 +1141,20 @@ TEST(DeterministicExecutor, StealingSchedulerBeatsSharedQueueOnSparseTraffic) {
       exec.SubmitAt(static_cast<std::uint64_t>(j) * gap, n, base, exponent);
     }
     exec.RunUntilIdle();
-    return std::make_pair(exec.Records(), exec.Snapshot());
+    return std::make_pair(exec.Records(), exec.registry().Snapshot());
   };
   const auto [records_v1, counters_v1] = run(SchedulerKind::kSharedQueue);
   const auto [records_v2, counters_v2] = run(SchedulerKind::kStealing);
-  EXPECT_EQ(counters_v1.jobs_completed, kJobs);
-  EXPECT_EQ(counters_v2.jobs_completed, kJobs);
+  EXPECT_EQ(counters_v1.CounterValue("jobs.completed"), kJobs);
+  EXPECT_EQ(counters_v2.CounterValue("jobs.completed"), kJobs);
+  // Both schedules are pinned, record for record: a change to the
+  // dispatch path must not move a single tick or worker.
+  EXPECT_EQ(RecordsDigest(records_v1), 0x71175aa3894806b3ull);
+  EXPECT_EQ(RecordsDigest(records_v2), 0xf440941d6811faf9ull);
   // v1 meets an idle worker at almost every arrival: mostly solo issue.
   // v2 pairs the bulk of the trace through held partners.
-  EXPECT_GT(counters_v2.pair_issues, 2 * counters_v1.pair_issues);
+  EXPECT_GT(counters_v2.CounterValue("issues.paired"),
+            2 * counters_v1.CounterValue("issues.paired"));
   const std::uint64_t busy_v1 = BusyCycles(records_v1);
   const std::uint64_t busy_v2 = BusyCycles(records_v2);
   ASSERT_GT(busy_v2, 0u);
@@ -1216,22 +1257,26 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
 
   // Counter truthfulness: conservation across issue modes and the hold
   // ledger balancing out once the pool is drained.
-  const auto counters = service.Snapshot();
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
   const std::uint64_t total =
       kTenants * kBursts * kBurstJobs + 2 * 2 * messages.size();
-  EXPECT_EQ(counters.jobs_submitted, total);
-  EXPECT_EQ(counters.jobs_completed, total);
-  EXPECT_EQ(2 * counters.pair_issues + counters.single_issues, total);
-  EXPECT_EQ(counters.holds, counters.hold_pairs + counters.unpair_timeouts);
-  EXPECT_GT(counters.pair_issues, 0u);
-  EXPECT_GT(counters.engine_cache_hits, 0u);
+  EXPECT_EQ(counters.CounterValue("jobs.submitted"), total);
+  EXPECT_EQ(counters.CounterValue("jobs.completed"), total);
+  EXPECT_EQ(2 * counters.CounterValue("issues.paired") +
+                counters.CounterValue("issues.single"),
+            total);
+  EXPECT_EQ(counters.CounterValue("sched.holds"),
+            counters.CounterValue("sched.hold_pairs") +
+                counters.CounterValue("sched.unpair_timeouts"));
+  EXPECT_GT(counters.CounterValue("issues.paired"), 0u);
+  EXPECT_GT(counters.CounterValue("engine.cache_hits"), 0u);
 }
 
 // Regression for the shutdown drain: destroying the service with jobs
 // still queued — including bonded pairs and callback-posted
 // continuations — must resolve every future and run every continuation
 // before the destructor returns.  No callback may run after destruction.
-TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
+void ShutdownDrainsBondedPairsAndContinuations(SchedulerKind scheduler) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(96);
   for (int round = 0; round < 20; ++round) {
@@ -1244,6 +1289,7 @@ TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
     {
       ExpService::Options options;
       options.workers = 2;
+      options.scheduler = scheduler;
       ExpService service(options);
       for (int j = 0; j < kJobs; ++j) {
         futures.push_back(service.Submit(
@@ -1273,6 +1319,15 @@ TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
     bonded.first.get();
     bonded.second.get();
   }
+}
+
+TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
+  ShutdownDrainsBondedPairsAndContinuations(SchedulerKind::kStealing);
+}
+
+TEST(ExpService,
+     ShutdownDrainsInFlightBondedPairsAndContinuationsSharedQueue) {
+  ShutdownDrainsBondedPairsAndContinuations(SchedulerKind::kSharedQueue);
 }
 
 }  // namespace

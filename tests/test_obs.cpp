@@ -33,6 +33,7 @@
 #include "server/keystore.hpp"
 #include "server/signing_service.hpp"
 #include "server/wire.hpp"
+#include "testutil.hpp"
 
 namespace mont::obs {
 namespace {
@@ -269,6 +270,10 @@ TEST(DeterministicReplay, TwoReplaysExportByteIdenticalTraces) {
   const std::string first = ReplayTraceJson();
   const std::string second = ReplayTraceJson();
   EXPECT_EQ(first, second);
+  // Pinned, so a change cannot drift both replays together.  The
+  // workload uses no floating point, so the digest is host-independent.
+  EXPECT_EQ(first.size(), 9698u);
+  EXPECT_EQ(test::Fnv1a64(first), 0x1835a11f4b1bdb53ull);
   // The trace carries the full job lifecycle, on virtual timestamps.
   EXPECT_NE(first.find("\"name\":\"job.submit\""), std::string::npos);
   EXPECT_NE(first.find("\"name\":\"job.run\""), std::string::npos);
@@ -318,7 +323,9 @@ TEST(StatsVerb, RoundTripsMergedRegistrySnapshot) {
   // both present.
   EXPECT_NE(json.find("\"server.ok\":1"), std::string::npos);
   EXPECT_NE(json.find("\"jobs.completed\""), std::string::npos);
-  EXPECT_EQ(service.Snapshot().stats_requests, 1u);
+  EXPECT_EQ(
+      service.registry().Snapshot().CounterValue("server.stats_requests"),
+      1u);
   // Conservation laws only hold on a quiescent snapshot: the sync
   // response can arrive a hair before the worker bumps jobs.completed.
   service.Wait();
@@ -364,7 +371,8 @@ TEST(ChaosTrace, SeededChaosRunWritesPerfettoArtifact) {
   // The chaos run's fault handling shows up in the trace: every caught
   // fault emitted a bellcore.fault event.
   const std::string json = tracer.ExportChromeJson();
-  if (service.Snapshot().faults_caught > 0) {
+  if (service.registry().Snapshot().CounterValue("server.faults_caught") >
+      0) {
     EXPECT_NE(json.find("\"name\":\"bellcore.fault\""), std::string::npos);
   }
 }

@@ -1,6 +1,8 @@
 // Tests for the service scheduling structures in isolation (no threads):
-// PairingQueue queue-order / pairing / starvation semantics and the
-// LruCache eviction policy behind the per-modulus engine cache.
+// the scheduling core in both modes — the v1 pairing queue's
+// order / pairing / starvation semantics and the v2 steal/hold/batch
+// policy — and the LruCache eviction policy behind the per-modulus
+// engine cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,77 +10,94 @@
 #include <set>
 #include <vector>
 
+#include "core/exp_service.hpp"
 #include "core/schedule.hpp"
+#include "obs/metrics.hpp"
 #include "testutil.hpp"
 
 namespace mont::core {
 namespace {
 
+// The v1 pairing queue — StealScheduler's shared-queue mode: one FIFO
+// every worker claims from, pairing only what is queued together.
+StealScheduler::Config SharedQueueConfig(bool enable_pairing = true) {
+  StealScheduler::Config config;
+  config.kind = SchedulerKind::kSharedQueue;
+  config.workers = 2;
+  config.enable_pairing = enable_pairing;
+  config.unpair_timeout = 100;
+  return config;
+}
+
 TEST(PairingQueue, FifoWithoutPairing) {
-  PairingQueue queue;
-  for (std::uint64_t id = 1; id <= 5; ++id) queue.Push(id, /*key=*/7);
+  StealScheduler queue(SharedQueueConfig(/*enable_pairing=*/false));
   for (std::uint64_t id = 1; id <= 5; ++id) {
-    const auto issue = queue.Pop(/*allow_pairing=*/false);
+    queue.Submit(id, /*key=*/7, /*pairable=*/true, /*now=*/id);
+  }
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    // Alternate claimants: both workers drain the one shared FIFO.
+    const auto issue = queue.Acquire(id % 2, 10);
     ASSERT_TRUE(issue.has_value());
     EXPECT_EQ(issue->count, 1u);
     EXPECT_EQ(issue->ids[0], id);
+    EXPECT_FALSE(issue->stolen);
   }
-  EXPECT_FALSE(queue.Pop().has_value());
+  EXPECT_FALSE(queue.Acquire(0, 10).has_value());
 }
 
 TEST(PairingQueue, PairsOldestCompatibleEntries) {
-  PairingQueue queue;
+  StealScheduler queue(SharedQueueConfig());
   // keys: A B A B  ->  (1,3) then (2,4)
-  queue.Push(1, 64);
-  queue.Push(2, 32);
-  queue.Push(3, 64);
-  queue.Push(4, 32);
-  auto first = queue.Pop();
+  queue.Submit(1, 64, true, 0);
+  queue.Submit(2, 32, true, 1);
+  queue.Submit(3, 64, true, 2);
+  queue.Submit(4, 32, true, 3);
+  auto first = queue.Acquire(0, 3);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->count, 2u);
   EXPECT_EQ(first->ids[0], 1u);
   EXPECT_EQ(first->ids[1], 3u);
-  auto second = queue.Pop();
+  auto second = queue.Acquire(1, 3);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->count, 2u);
   EXPECT_EQ(second->ids[0], 2u);
   EXPECT_EQ(second->ids[1], 4u);
-  EXPECT_TRUE(queue.Empty());
+  EXPECT_TRUE(queue.Idle());
 }
 
 TEST(PairingQueue, OddJobOutAndLoneKeysDoNotStarve) {
-  PairingQueue queue;
-  // Three same-key entries: one must issue alone after the pair.
-  queue.Push(1, 8);
-  queue.Push(2, 8);
-  queue.Push(3, 8);
-  auto pair = queue.Pop();
+  StealScheduler queue(SharedQueueConfig());
+  // Three same-key entries, arriving fast on a busy pool (a hot key to
+  // the v2 mode): none is held, and one issues alone after the pair.
+  queue.Submit(1, 8, true, 0);
+  queue.Submit(2, 8, true, 1);
+  queue.Submit(3, 8, true, 2);
+  EXPECT_EQ(queue.HeldJobs(), 0u);
+  auto pair = queue.Acquire(0, 2);
   ASSERT_TRUE(pair.has_value());
   EXPECT_EQ(pair->count, 2u);
-  auto leftover = queue.Pop();
+  auto leftover = queue.Acquire(0, 2);
   ASSERT_TRUE(leftover.has_value());
   EXPECT_EQ(leftover->count, 1u);
   EXPECT_EQ(leftover->ids[0], 3u);
   // Entries with unmatched keys each issue alone, in FIFO order.
-  queue.Push(4, 10);
-  queue.Push(5, 11);
-  EXPECT_EQ(queue.Pop()->ids[0], 4u);
-  EXPECT_EQ(queue.Pop()->ids[0], 5u);
+  queue.Submit(4, 10, true, 3);
+  queue.Submit(5, 11, true, 4);
+  EXPECT_EQ(queue.Acquire(1, 4)->ids[0], 4u);
+  EXPECT_EQ(queue.Acquire(1, 4)->ids[0], 5u);
 }
 
 TEST(PairingQueue, BondedEntriesOnlyPairWithTheirPartner) {
-  PairingQueue queue;
-  const std::uint64_t bond = (std::uint64_t{1} << 63) | 0;
-  queue.Push(1, 64);                    // opportunistic
-  queue.Push(2, bond, /*bonded=*/true);  // bonded half 1
-  queue.Push(3, 64);                    // opportunistic
-  queue.Push(4, bond, /*bonded=*/true);  // bonded half 2
-  auto first = queue.Pop();
+  StealScheduler queue(SharedQueueConfig());
+  queue.Submit(1, 64, true, 0);  // opportunistic
+  queue.SubmitBonded(2, 4, 1);   // bonded halves
+  queue.Submit(3, 64, true, 2);  // opportunistic
+  auto first = queue.Acquire(0, 2);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->ids[0], 1u);
-  EXPECT_EQ(first->ids[1], 3u);  // skipped the bonded entry in between
+  EXPECT_EQ(first->ids[1], 3u);  // skipped the bonded group in between
   EXPECT_FALSE(first->bonded);
-  auto second = queue.Pop();
+  auto second = queue.Acquire(0, 2);
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(second->bonded);
   EXPECT_EQ(second->ids[0], 2u);
@@ -86,32 +105,40 @@ TEST(PairingQueue, BondedEntriesOnlyPairWithTheirPartner) {
 }
 
 TEST(PairingQueue, BondedAndOpportunisticNeverMixOnSameKey) {
-  PairingQueue queue;
-  queue.Push(1, 64, /*bonded=*/true);
-  queue.Push(2, 64, /*bonded=*/false);
-  auto first = queue.Pop();
+  StealScheduler queue(SharedQueueConfig());
+  queue.SubmitBonded(1, 2, 0);
+  queue.Submit(3, 64, true, 1);
+  auto first = queue.Acquire(0, 1);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->count, 1u);  // bonded front cannot claim the plain entry
-  auto second = queue.Pop();
+  // The bonded group cannot claim the plain entry, nor the plain entry
+  // join the bond.
+  EXPECT_TRUE(first->bonded);
+  EXPECT_EQ(first->count, 2u);
+  EXPECT_EQ(first->ids[0], 1u);
+  EXPECT_EQ(first->ids[1], 2u);
+  auto second = queue.Acquire(0, 1);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->count, 1u);
+  EXPECT_EQ(second->ids[0], 3u);
 }
 
 // Property check: every id issues exactly once, pairs always share a key,
 // and the first slot of successive issues preserves FIFO order.
 TEST(PairingQueue, RandomizedConservationAndOrder) {
   auto rng = test::TestRng();
-  PairingQueue queue;
+  StealScheduler queue(SharedQueueConfig());
   constexpr std::uint64_t kEntries = 500;
   std::map<std::uint64_t, std::uint64_t> key_of;
   for (std::uint64_t id = 1; id <= kEntries; ++id) {
     const std::uint64_t key = rng.Engine().NextBelow(5);
     key_of[id] = key;
-    queue.Push(id, key);
+    queue.Submit(id, key, true, id);
   }
   std::set<std::uint64_t> seen;
   std::uint64_t last_front = 0;
-  while (auto issue = queue.Pop()) {
+  std::size_t worker = 0;
+  while (auto issue = queue.Acquire(worker, kEntries)) {
+    worker = 1 - worker;
     EXPECT_GT(issue->ids[0], last_front) << "FIFO order of issue fronts";
     last_front = issue->ids[0];
     for (std::size_t i = 0; i < issue->count; ++i) {
@@ -123,6 +150,33 @@ TEST(PairingQueue, RandomizedConservationAndOrder) {
     }
   }
   EXPECT_EQ(seen.size(), kEntries);
+}
+
+// A cancelled slot of an opportunistic pair is tombstoned in place: the
+// surviving partner issues solo and the pair never reopens to a later
+// arrival; a cancelled open solo stops being a join target.
+TEST(PairingQueue, CancelledOpportunisticSlotIsTombstoned) {
+  StealScheduler queue(SharedQueueConfig());
+  queue.Submit(1, 64, true, 0);
+  queue.Submit(2, 64, true, 1);  // joins 1: pair (1,2)
+  ASSERT_TRUE(queue.Cancel(2));
+  EXPECT_FALSE(queue.Cancel(2));
+  queue.Submit(3, 64, true, 2);  // cannot take 2's slot
+  auto survivor = queue.Acquire(0, 2);
+  ASSERT_TRUE(survivor.has_value());
+  EXPECT_EQ(survivor->count, 1u);
+  EXPECT_EQ(survivor->ids[0], 1u);
+  EXPECT_FALSE(survivor->bonded);
+  // 3 sits alone as an open solo; cancelling it closes it, so 4 opens a
+  // group of its own and the tombstoned shell is skipped on acquire.
+  ASSERT_TRUE(queue.Cancel(3));
+  queue.Submit(4, 64, true, 3);
+  auto next = queue.Acquire(1, 3);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->count, 1u);
+  EXPECT_EQ(next->ids[0], 4u);
+  EXPECT_FALSE(queue.Acquire(0, 3).has_value());
+  EXPECT_TRUE(queue.Idle());
 }
 
 // ---------------------------------------------------------------------------
@@ -151,10 +205,11 @@ TEST(ClockSource, SteadyClockIsMonotone) {
 // StealScheduler (v2: per-worker deques, stealing, hold/unpair, batching)
 // ---------------------------------------------------------------------------
 
-StealScheduler::Config TwoWorkerConfig() {
+StealScheduler::Config TwoWorkerConfig(obs::Registry* registry = nullptr) {
   StealScheduler::Config config;
   config.workers = 2;
   config.unpair_timeout = 100;
+  config.registry = registry;
   return config;
 }
 
@@ -173,7 +228,8 @@ TEST(StealScheduler, SoloSubmitOnIdlePoolDispatchesImmediately) {
 }
 
 TEST(StealScheduler, OpenSoloGroupUpgradesToPairInPlace) {
-  StealScheduler sched(TwoWorkerConfig());
+  obs::Registry registry;
+  StealScheduler sched(TwoWorkerConfig(&registry));
   sched.Submit(1, 7, true, 0);
   sched.Submit(2, 7, true, 10);  // joins id 1's un-acquired solo group
   auto issue = sched.Acquire(0, 10);
@@ -181,13 +237,14 @@ TEST(StealScheduler, OpenSoloGroupUpgradesToPairInPlace) {
   EXPECT_EQ(issue->count, 2u);
   EXPECT_EQ(issue->ids[0], 1u);
   EXPECT_EQ(issue->ids[1], 2u);
-  EXPECT_EQ(sched.GetStats().pairs_formed, 1u);
+  EXPECT_EQ(registry.Snapshot().CounterValue("sched.pairs_formed"), 1u);
   sched.OnGroupDone();
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST(StealScheduler, HotKeyHoldsForPartnerWhilePoolBusy) {
-  StealScheduler sched(TwoWorkerConfig());
+  obs::Registry registry;
+  StealScheduler sched(TwoWorkerConfig(&registry));
   // Establish a hot gap on key 7, then keep the pool busy so the next
   // lone arrival is worth holding.
   sched.Submit(1, 7, true, 0);
@@ -196,7 +253,7 @@ TEST(StealScheduler, HotKeyHoldsForPartnerWhilePoolBusy) {
   ASSERT_TRUE(pair.has_value());  // in flight: pool is busy
   sched.Submit(3, 7, true, 20);
   EXPECT_EQ(sched.HeldJobs(), 1u);
-  EXPECT_EQ(sched.GetStats().holds, 1u);
+  EXPECT_EQ(registry.Snapshot().CounterValue("sched.holds"), 1u);
   ASSERT_TRUE(sched.NextHoldDeadline().has_value());
   EXPECT_EQ(*sched.NextHoldDeadline(), 120u);
   // Held jobs are invisible to Acquire before their deadline.
@@ -209,14 +266,15 @@ TEST(StealScheduler, HotKeyHoldsForPartnerWhilePoolBusy) {
   EXPECT_EQ(held_pair->count, 2u);
   EXPECT_EQ(held_pair->ids[0], 3u);
   EXPECT_EQ(held_pair->ids[1], 4u);
-  EXPECT_EQ(sched.GetStats().hold_pairs, 1u);
+  EXPECT_EQ(registry.Snapshot().CounterValue("sched.hold_pairs"), 1u);
   sched.OnGroupDone();
   sched.OnGroupDone();
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST(StealScheduler, AgeTimeoutReleasesHeldJobSolo) {
-  StealScheduler sched(TwoWorkerConfig());
+  obs::Registry registry;
+  StealScheduler sched(TwoWorkerConfig(&registry));
   sched.Submit(1, 7, true, 0);
   sched.Submit(2, 7, true, 10);
   auto pair = sched.Acquire(0, 10);
@@ -231,14 +289,15 @@ TEST(StealScheduler, AgeTimeoutReleasesHeldJobSolo) {
   EXPECT_EQ(solo->count, 1u);
   EXPECT_EQ(solo->ids[0], 3u);
   EXPECT_TRUE(solo->unpaired_by_timeout);
-  EXPECT_EQ(sched.GetStats().unpair_timeouts, 1u);
+  EXPECT_EQ(registry.Snapshot().CounterValue("sched.unpair_timeouts"), 1u);
   sched.OnGroupDone();
   sched.OnGroupDone();
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
-  StealScheduler::Config config = TwoWorkerConfig();
+  obs::Registry registry;
+  StealScheduler::Config config = TwoWorkerConfig(&registry);
   config.workers = 3;
   StealScheduler sched(config);
   // Distinct non-pairable jobs spread across deques (least-loaded with
@@ -256,7 +315,7 @@ TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
   ASSERT_TRUE(stolen.has_value());
   EXPECT_TRUE(stolen->stolen);
   EXPECT_EQ(stolen->ids[0], 3u);
-  EXPECT_EQ(sched.GetStats().steals, 1u);
+  EXPECT_EQ(registry.Snapshot().CounterValue("sched.steals"), 1u);
   // With stealing disabled an empty own deque means no work.
   StealScheduler::Config no_steal = config;
   no_steal.work_stealing = false;
@@ -291,7 +350,8 @@ TEST(StealScheduler, BondedPairsNeverSplitAndSkipHolds) {
 }
 
 TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
-  StealScheduler::Config config = TwoWorkerConfig();
+  obs::Registry registry;
+  StealScheduler::Config config = TwoWorkerConfig(&registry);
   config.max_batch = 4;
   StealScheduler sched(config);
   // Backlog of 12 non-pairable groups over 2 workers: target is
@@ -302,8 +362,9 @@ TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
   std::vector<StealScheduler::Issue> issues;
   EXPECT_EQ(sched.AcquireBatch(0, 0, &issues), 4u);
   EXPECT_EQ(issues.size(), 4u);
-  EXPECT_EQ(sched.GetStats().batch_acquires, 1u);
-  EXPECT_EQ(sched.GetStats().max_batch_claimed, 4u);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(metrics.CounterValue("sched.batch_acquires"), 1u);
+  EXPECT_EQ(metrics.gauges.at("sched.max_batch_claimed"), 4);
   // A near-empty pool claims exactly one (never zero while work exists).
   for (int i = 0; i < 4; ++i) sched.OnGroupDone();
   issues.clear();
@@ -320,16 +381,22 @@ TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
 
 // Model check: a seeded stream of submits, bonded submits, acquires,
 // completions, and clock advances, validated against a brute-force
-// reference model of what may legally issue.
+// reference model of what may legally issue.  Eight rounds run the v2
+// mode, eight the shared-queue mode.
 TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
   auto rng = test::TestRng();
-  for (std::uint64_t round = 0; round < 8; ++round) {
+  for (std::uint64_t round = 0; round < 16; ++round) {
+    obs::Registry registry;
     StealScheduler::Config config;
+    config.kind =
+        round < 8 ? SchedulerKind::kStealing : SchedulerKind::kSharedQueue;
     config.workers = 1 + rng.Engine().NextBelow(4);
     config.unpair_timeout = 50 + rng.Engine().NextBelow(200);
     config.max_batch = 1 + rng.Engine().NextBelow(8);
     config.work_stealing = rng.Engine().NextBelow(4) != 0;
+    config.registry = &registry;
     StealScheduler sched(config);
+    const bool shared = config.kind == SchedulerKind::kSharedQueue;
 
     std::map<std::uint64_t, std::uint64_t> key_of;       // reference model
     std::map<std::uint64_t, std::uint64_t> bond_partner;
@@ -343,6 +410,8 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     const auto check_issue = [&](const StealScheduler::Issue& issue) {
       ASSERT_GE(issue.count, 1u);
       ASSERT_LE(issue.count, 2u);
+      // The shared queue never holds a job and has nothing to steal.
+      ASSERT_FALSE(shared && (issue.stolen || issue.unpaired_by_timeout));
       for (std::size_t i = 0; i < issue.count; ++i) {
         const std::uint64_t id = issue.ids[i];
         ASSERT_TRUE(outstanding.count(id)) << "issued unknown id " << id;
@@ -442,7 +511,8 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     // Counter conservation: every submitted job either issued or was
     // cancelled — nothing lost, nothing duplicated.
     ASSERT_EQ(issued.size() + cancelled_total, key_of.size());
-    ASSERT_EQ(sched.GetStats().cancelled, cancelled_total);
+    ASSERT_EQ(registry.Snapshot().CounterValue("sched.cancelled"),
+              cancelled_total);
     while (in_flight > 0) {
       sched.OnGroupDone();
       --in_flight;
@@ -461,35 +531,42 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   cache.Put(1, 100);
   cache.Put(2, 200);
   ASSERT_NE(cache.Get(1), nullptr);  // refresh 1: now 2 is the coldest
-  cache.Put(3, 300);
+  EXPECT_TRUE(cache.Put(3, 300));    // reports the eviction
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
-  EXPECT_EQ(cache.Evictions(), 1u);
   EXPECT_EQ(*cache.Get(1), 100);
   EXPECT_EQ(cache.Get(2), nullptr);
 }
 
 TEST(LruCache, PutRefreshesAndReplacesInPlace) {
   LruCache<int, int> cache(2);
-  cache.Put(1, 100);
-  cache.Put(2, 200);
-  cache.Put(1, 111);  // replace refreshes recency, no eviction
+  EXPECT_FALSE(cache.Put(1, 100));
+  EXPECT_FALSE(cache.Put(2, 200));
+  // Replace refreshes recency, no eviction.
+  EXPECT_FALSE(cache.Put(1, 111));
   EXPECT_EQ(cache.Size(), 2u);
-  EXPECT_EQ(cache.Evictions(), 0u);
-  cache.Put(3, 300);  // now 2 is the coldest
+  EXPECT_TRUE(cache.Put(3, 300));  // now 2 is the coldest
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_EQ(*cache.Get(1), 111);
 }
 
+// The engine cache's hits, misses and evictions are counted by its owner,
+// ExecutionCore, as the engine.cache_* registry counters.
 TEST(LruCache, CountsHitsAndMisses) {
-  LruCache<int, int> cache(4);
-  EXPECT_EQ(cache.Get(9), nullptr);
-  cache.Put(9, 90);
-  EXPECT_NE(cache.Get(9), nullptr);
-  EXPECT_NE(cache.Get(9), nullptr);
-  EXPECT_EQ(cache.Hits(), 2u);
-  EXPECT_EQ(cache.Misses(), 1u);
+  obs::Registry registry;
+  ExecutionCore core("bit-serial", {}, /*cache_capacity=*/1,
+                     /*blind_seed=*/0, &registry);
+  const bignum::BigUInt n{0xfffb};
+  const bignum::BigUInt m{0xfff1};
+  core.AcquireEngine("bit-serial", n);  // miss
+  core.AcquireEngine("bit-serial", n);  // hit
+  core.AcquireEngine("bit-serial", n);  // hit
+  core.AcquireEngine("bit-serial", m);  // miss, evicts n
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(metrics.CounterValue("engine.cache_hits"), 2u);
+  EXPECT_EQ(metrics.CounterValue("engine.cache_misses"), 2u);
+  EXPECT_EQ(metrics.CounterValue("engine.cache_evictions"), 1u);
 }
 
 TEST(LruCache, ZeroCapacityNeverStores) {
@@ -524,8 +601,9 @@ TEST(LruCache, RandomizedMatchesReferenceModel) {
     } else {
       const bool present =
           std::find(recency.begin(), recency.end(), key) != recency.end();
-      if (!present && recency.size() == kCapacity) recency.pop_back();
-      cache.Put(key, key * 10);
+      const bool evicts = !present && recency.size() == kCapacity;
+      if (evicts) recency.pop_back();
+      EXPECT_EQ(cache.Put(key, key * 10), evicts) << "step " << step;
       touch(key);
     }
     ASSERT_EQ(cache.Size(), recency.size()) << "step " << step;

@@ -17,6 +17,7 @@
 #include "bignum/random.hpp"
 #include "crypto/pkcs1.hpp"
 #include "crypto/rsa.hpp"
+#include "obs/metrics.hpp"
 #include "server/admission.hpp"
 #include "server/client.hpp"
 #include "server/keystore.hpp"
@@ -381,10 +382,10 @@ TEST(SigningServiceTest, EndToEndSignatureVerifies) {
   const BigUInt signature = BigUInt::FromBytesBE(response.payload);
   EXPECT_TRUE(
       crypto::RsaVerifyPkcs1V15(TestKey(), request.message, signature));
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.admitted, 1u);
-  EXPECT_EQ(counters.ok, 1u);
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.admitted"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.ok"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.bad_signatures_released"), 0u);
 }
 
 TEST(SigningServiceTest, PingAndLookupTaxonomy) {
@@ -404,12 +405,12 @@ TEST(SigningServiceTest, PingAndLookupTaxonomy) {
             StatusCode::kUnknownKey);
   EXPECT_EQ(service.HandleRequestSync(Bytes("garbage")).status,
             StatusCode::kMalformedRequest);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.pings, 1u);
-  EXPECT_EQ(counters.unknown_tenant, 1u);
-  EXPECT_EQ(counters.unknown_key, 1u);
-  EXPECT_EQ(counters.malformed, 1u);
-  EXPECT_EQ(counters.admitted, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.pings"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.unknown_tenant"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.unknown_key"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.malformed"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.admitted"), 0u);
 }
 
 TEST(SigningServiceTest, ExhaustedTokenBucketGivesTypedBackpressure) {
@@ -423,9 +424,9 @@ TEST(SigningServiceTest, ExhaustedTokenBucketGivesTypedBackpressure) {
   const auto refused =
       service.HandleRequestSync(EncodeSignRequest(MakeRequest("b")));
   EXPECT_EQ(refused.status, StatusCode::kRejectedBackpressure);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.rejected_backpressure, 1u);
-  EXPECT_EQ(counters.ok, 1u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.rejected_backpressure"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.ok"), 1u);
 }
 
 TEST(SigningServiceTest, ExpiredDeadlineIsTypedAndConserved) {
@@ -436,15 +437,16 @@ TEST(SigningServiceTest, ExpiredDeadlineIsTypedAndConserved) {
       EncodeSignRequest(MakeRequest("too slow", /*deadline_ticks=*/1)));
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
   service.Wait();
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.ok, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.deadline_exceeded"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.ok"), 0u);
   // The conservation contract holds all the way down: every ExpService
   // job either completed or was deadline-cancelled.
-  const auto service_counters = service.ServiceSnapshot();
-  EXPECT_EQ(service_counters.jobs_submitted,
-            service_counters.jobs_completed +
-                service_counters.deadline_exceeded);
+  const obs::MetricsSnapshot service_counters =
+      service.registry().Snapshot();
+  EXPECT_EQ(service_counters.CounterValue("jobs.submitted"),
+            service_counters.CounterValue("jobs.completed") +
+                service_counters.CounterValue("jobs.cancelled"));
 }
 
 TEST(SigningServiceTest, OverloadShedsByPriorityWithTypedError) {
@@ -484,7 +486,8 @@ TEST(SigningServiceTest, OverloadShedsByPriorityWithTypedError) {
       service.HandleRequestSync(EncodeSignRequest(starved));
   EXPECT_EQ(response.status, StatusCode::kShedOverload);
   service.Wait();
-  EXPECT_EQ(service.Snapshot().shed_overload, 1u);
+  EXPECT_EQ(
+      service.registry().Snapshot().CounterValue("server.shed_overload"), 1u);
 }
 
 TEST(SigningServiceTest, OversizeFrameRejectedAtTransport) {
@@ -497,7 +500,7 @@ TEST(SigningServiceTest, OversizeFrameRejectedAtTransport) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, StatusCode::kFrameTooLarge);
   // It never reached the service.
-  EXPECT_EQ(service.Snapshot().requests, 0u);
+  EXPECT_EQ(service.registry().Snapshot().CounterValue("server.requests"), 0u);
 }
 
 TEST(SigningServiceTest, ClientSignsThroughFullWirePath) {

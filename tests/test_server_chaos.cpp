@@ -23,6 +23,7 @@
 #include "bignum/random.hpp"
 #include "crypto/pkcs1.hpp"
 #include "crypto/rsa.hpp"
+#include "obs/metrics.hpp"
 #include "server/chaos.hpp"
 #include "server/client.hpp"
 #include "server/keystore.hpp"
@@ -75,7 +76,8 @@ TEST(ChaosSuite, InjectedCrtFaultIsCaughtRetriedAndNeverReleased) {
   // Corrupt roughly a third of recombinations: most requests see a clean
   // retry, some see several faults in a row.
   chaos_options.corrupt_crt_rate = 0.35;
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   keystore.AddTenant(1, {});
@@ -83,6 +85,7 @@ TEST(ChaosSuite, InjectedCrtFaultIsCaughtRetriedAndNeverReleased) {
   SigningService::Options options;
   options.chaos = &chaos;
   options.max_internal_retries = 4;
+  options.service.registry = &registry;  // one snapshot: chaos.* + server.*
   SigningService service(std::move(keystore), options);
 
   int ok = 0;
@@ -103,14 +106,16 @@ TEST(ChaosSuite, InjectedCrtFaultIsCaughtRetriedAndNeverReleased) {
       ++exhausted;
     }
   }
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.bad_signatures_released"), 0u);
   // The injection actually fired, the gate actually caught.
-  EXPECT_GT(counters.faults_caught, 0u);
-  EXPECT_EQ(counters.faults_caught, chaos.Snapshot().crt_corruptions);
-  EXPECT_GT(counters.internal_retries, 0u);
-  EXPECT_EQ(counters.ok, static_cast<std::uint64_t>(ok));
-  EXPECT_EQ(counters.retry_exhausted, static_cast<std::uint64_t>(exhausted));
+  EXPECT_GT(counters.CounterValue("server.faults_caught"), 0u);
+  EXPECT_EQ(counters.CounterValue("server.faults_caught"),
+            counters.CounterValue("chaos.crt_corruptions"));
+  EXPECT_GT(counters.CounterValue("server.internal_retries"), 0u);
+  EXPECT_EQ(counters.CounterValue("server.ok"), static_cast<std::uint64_t>(ok));
+  EXPECT_EQ(counters.CounterValue("server.retry_exhausted"),
+            static_cast<std::uint64_t>(exhausted));
   // With rate 0.35 and 4 retries, most requests must still succeed.
   EXPECT_GT(ok, exhausted);
 }
@@ -130,11 +135,12 @@ TEST(ChaosSuite, CertainFaultExhaustsRetriesWithTypedErrorOnly) {
   const auto response = service.HandleRequestSync(
       EncodeSignRequest(MakeRequest(1, "doomed")));
   EXPECT_EQ(response.status, StatusCode::kInternalRetrying);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.faults_caught, 3u);  // initial attempt + 2 retries
-  EXPECT_EQ(counters.internal_retries, 2u);
-  EXPECT_EQ(counters.ok, 0u);
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  // The initial attempt + 2 retries.
+  EXPECT_EQ(counters.CounterValue("server.faults_caught"), 3u);
+  EXPECT_EQ(counters.CounterValue("server.internal_retries"), 2u);
+  EXPECT_EQ(counters.CounterValue("server.ok"), 0u);
+  EXPECT_EQ(counters.CounterValue("server.bad_signatures_released"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +152,8 @@ TEST(ChaosSuite, StalledWorkerAndFloodingTenantDoNotStarveHealthyTenant) {
   ChaosOptions chaos_options;
   chaos_options.stall_worker = 0;       // 1 of 4 workers sleeps per group
   chaos_options.stall_micros = 3'000;
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   TenantConfig flooder;
@@ -209,16 +216,17 @@ TEST(ChaosSuite, StalledWorkerAndFloodingTenantDoNotStarveHealthyTenant) {
   EXPECT_EQ(flood_responses.load(), 32);
   EXPECT_EQ(flood_untyped.load(), 0);
   // The stall was real (work stealing routed around it).
-  EXPECT_GT(chaos.Snapshot().worker_stalls, 0u);
+  EXPECT_GT(registry.Snapshot().CounterValue("chaos.worker_stalls"), 0u);
   // The flood's tiny budget produced typed backpressure.
-  const auto counters = service.Snapshot();
-  EXPECT_GT(counters.rejected_backpressure, 0u);
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_GT(counters.CounterValue("server.rejected_backpressure"), 0u);
+  EXPECT_EQ(counters.CounterValue("server.bad_signatures_released"), 0u);
   // ExpService-level conservation held under chaos.
-  const auto service_counters = service.ServiceSnapshot();
-  EXPECT_EQ(service_counters.jobs_submitted,
-            service_counters.jobs_completed +
-                service_counters.deadline_exceeded);
+  const obs::MetricsSnapshot service_counters =
+      service.registry().Snapshot();
+  EXPECT_EQ(service_counters.CounterValue("jobs.submitted"),
+            service_counters.CounterValue("jobs.completed") +
+                service_counters.CounterValue("jobs.cancelled"));
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +238,8 @@ TEST(ChaosSuite, DroppedAndGarbledFramesAreSurvivedByRetryingClient) {
   chaos_options.drop_request_rate = 0.15;
   chaos_options.drop_response_rate = 0.10;
   chaos_options.garble_frame_rate = 0.15;
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   keystore.AddTenant(1, {});
@@ -261,14 +270,17 @@ TEST(ChaosSuite, DroppedAndGarbledFramesAreSurvivedByRetryingClient) {
     }
   }
   // The chaos fired...
-  const auto chaos_counters = chaos.Snapshot();
-  EXPECT_GT(chaos_counters.requests_dropped + chaos_counters.frames_garbled +
-                chaos_counters.responses_dropped,
+  const obs::MetricsSnapshot chaos_counters = registry.Snapshot();
+  EXPECT_GT(chaos_counters.CounterValue("chaos.requests_dropped") +
+                chaos_counters.CounterValue("chaos.frames_garbled") +
+                chaos_counters.CounterValue("chaos.responses_dropped"),
             0u);
   // ...and the client still got most signatures through.
   EXPECT_GT(ok, 10);
   service.Wait();
-  EXPECT_EQ(service.Snapshot().bad_signatures_released, 0u);
+  EXPECT_EQ(service.registry().Snapshot().CounterValue(
+                "server.bad_signatures_released"),
+            0u);
 }
 
 TEST(ChaosSuite, SlowTenantDelaysOnlyItsOwnCalls) {
@@ -319,12 +331,13 @@ TEST(ChaosSuite, CombinedChaosReleasesOnlyVerifiedSignatures) {
   }
   EXPECT_GT(ok, 0);
   service.Wait();
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
-  const auto service_counters = service.ServiceSnapshot();
-  EXPECT_EQ(service_counters.jobs_submitted,
-            service_counters.jobs_completed +
-                service_counters.deadline_exceeded);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.bad_signatures_released"), 0u);
+  const obs::MetricsSnapshot service_counters =
+      service.registry().Snapshot();
+  EXPECT_EQ(service_counters.CounterValue("jobs.submitted"),
+            service_counters.CounterValue("jobs.completed") +
+                service_counters.CounterValue("jobs.cancelled"));
 }
 
 }  // namespace

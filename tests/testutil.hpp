@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,17 @@ inline std::uint64_t TestSeed(std::uint64_t salt = 0) {
     mix(info->name());
   }
   return h ^ salt;
+}
+
+/// FNV-1a-64 of a byte string — the digest the replay pins compare
+/// against (stable across hosts, no crypto dependency).
+inline std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
 /// A bignum RNG seeded from the current test's name.  `salt` distinguishes
