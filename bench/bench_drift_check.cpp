@@ -10,7 +10,8 @@
 //   skip     keys matching  wall | per_sec | per_s | iterations | seconds
 //            plus the host-throughput ratios batch_speedup and
 //            speedup_vs_scalar — wall-clock derived; reported for humans,
-//            never gated.
+//            never gated — and host_ (facts of the measuring host, such
+//            as how many CPUs a capture was split across).
 //   lenient  keys matching  fraction | speedup | gigacycle | model_cycles |
 //            latency — statistics of the *threaded* service benches, which
 //            depend on OS scheduling (45% relative, 0.35 absolute slack).
@@ -214,7 +215,8 @@ Tolerance Classify(const std::string& key) {
   // batch_speedup / speedup_vs_scalar are ratios of two host-throughput
   // measurements, so they inherit the host's load sensitivity.
   for (const char* pat : {"wall", "per_sec", "per_s", "iterations",
-                          "seconds", "batch_speedup", "speedup_vs_scalar"}) {
+                          "seconds", "batch_speedup", "speedup_vs_scalar",
+                          "host_"}) {
     if (Contains(key, pat)) return Tolerance::kSkip;
   }
   for (const char* pat : {"fraction", "speedup", "gigacycle", "model_cycles",

@@ -11,12 +11,19 @@
 //   4. capture throughput: traces/s of 1-lane vs 64-lane gate-level
 //      capture (the batch engine is what makes the lab affordable);
 //   5. capture overhead: a 64-lane pass of 64-bit ModExp captures against
-//      plain simulation of the same exponentiations.  THE GATE: capture
-//      may take at most 2.2x the plain simulation (interleaved best-of-N,
-//      as bench_obs gates tracing); the binary exits 1 above it.
+//      plain simulation of the same exponentiations, with the thread
+//      pinned to one CPU so the capture runs one window, as the plain
+//      simulation does.  THE GATE: capture may take at most 2.2x the
+//      plain simulation (interleaved best-of-N, as bench_obs gates
+//      tracing); the binary exits 1 above it;
+//   6. capture windows (informational): the same capture split across
+//      the process's CPUs against the one-window capture — windows used
+//      and wall speedup, both host-dependent.  The traces must match.
 //
 // Emits BENCH_sca.json (bench_json.hpp flat schema) for CI trend
 // tracking; --smoke shrinks every population for the ctest -L perf run.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -50,6 +57,35 @@ std::vector<BigUInt> RandomBases(mont::bignum::RandomBigUInt& rng,
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) out.push_back(rng.Below(bound));
   return out;
+}
+
+/// Pins the calling thread to the first CPU of its affinity mask and
+/// returns the mask it had, for RestoreAffinity.
+cpu_set_t PinToOneCpu() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  sched_getaffinity(0, sizeof mask, &mask);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  sched_setaffinity(0, sizeof one, &one);
+  return mask;
+}
+
+void RestoreAffinity(const cpu_set_t& mask) {
+  sched_setaffinity(0, sizeof mask, &mask);
+}
+
+bool SameTraces(const mont::sca::TraceSet& a, const mont::sca::TraceSet& b) {
+  if (a.Count() != b.Count() || a.Samples() != b.Samples()) return false;
+  for (std::size_t t = 0; t < a.Count(); ++t) {
+    for (std::size_t s = 0; s < a.Samples(); ++s) {
+      if (a.At(t, s) != b.At(t, s)) return false;
+    }
+  }
+  return true;
 }
 
 /// The §4.5 exponentiation MMM by MMM on the 64-lane driver with toggle
@@ -305,6 +341,12 @@ int main(int argc, char** argv) {
     plain.sim().SetInputAll(gen.start, false);
     plain.sim().Settle();
     const mont::bignum::BitSerialMontgomery ctx(n);
+    const std::size_t samples =
+        (exponent.BitLength() + exponent.PopCount()) *
+        capture.SamplesPerMultiplication();
+    // One CPU: the capture runs one window, so the ratio measures toggle
+    // accounting and trace assembly against plain simulation.
+    const cpu_set_t all_cpus = PinToOneCpu();
     // Capture and plain passes alternate, so host-load drift hits both
     // minima equally; a failing attempt is re-measured up to 3 times.
     double capture_seconds = 0;
@@ -326,14 +368,18 @@ int main(int argc, char** argv) {
         plain_seconds =
             std::min(plain_seconds, Seconds(plain_begin, Clock::now()));
         correct = correct && traces.Count() == bases.size() &&
-                  results.size() == bases.size() &&
-                  results[0] == BigUInt::ModExp(bases[0], exponent, n);
+                  traces.Samples() == samples &&
+                  results.size() == bases.size();
+        for (std::size_t lane = 0; correct && lane < bases.size(); ++lane) {
+          correct = results[lane] == BigUInt::ModExp(bases[lane], exponent, n);
+        }
       }
       ratio = capture_seconds / plain_seconds;
       if (ratio <= gate) break;
       std::printf("  (attempt %d: capture/plain %.2f > %.1f, re-measuring)\n",
                   attempt + 1, ratio, gate);
     }
+    RestoreAffinity(all_cpus);
     meets_gate = correct && ratio <= gate;
     const double traces = static_cast<double>(bases.size());
     std::printf("capture overhead (l=%zu ModExp, %zu-bit exponent, %zu "
@@ -359,6 +405,44 @@ int main(int argc, char** argv) {
                     {"capture_over_sim_wall_ratio", ratio},
                     {"gate_limit_ratio", gate},
                     {"meets_gate", meets_gate}});
+
+    // --- 6. capture windows: all CPUs vs one window (informational) -----
+    double windowed_seconds = std::numeric_limits<double>::infinity();
+    double one_window_seconds = std::numeric_limits<double>::infinity();
+    bool same = true;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const auto windowed_begin = Clock::now();
+      const mont::sca::TraceSet windowed =
+          capture.CaptureModExps(bases, exponent);
+      windowed_seconds =
+          std::min(windowed_seconds, Seconds(windowed_begin, Clock::now()));
+      PinToOneCpu();
+      const auto one_begin = Clock::now();
+      const mont::sca::TraceSet one_window =
+          capture.CaptureModExps(bases, exponent);
+      one_window_seconds =
+          std::min(one_window_seconds, Seconds(one_begin, Clock::now()));
+      RestoreAffinity(all_cpus);
+      same = same && SameTraces(windowed, one_window);
+    }
+    const std::size_t windows = capture.ModExpWindows(exponent);
+    const double speedup = one_window_seconds / windowed_seconds;
+    meets_gate = meets_gate && same;
+    std::printf("capture windows (same capture, best of %zu):\n", reps);
+    std::printf("  1 window : %10.1f traces/s\n", traces / one_window_seconds);
+    std::printf("  %zu windows: %10.1f traces/s  (%.2fx)%s\n\n", windows,
+                traces / windowed_seconds, speedup,
+                same ? "" : "  TRACES DIFFER");
+    rows.push_back({{"section", "capture_windows"},
+                    {"l", static_cast<unsigned long long>(l)},
+                    {"exponent_bits", static_cast<unsigned long long>(
+                                          exponent.BitLength())},
+                    {"lanes", static_cast<unsigned long long>(bases.size())},
+                    {"host_windows", static_cast<unsigned long long>(windows)},
+                    {"one_window_traces_per_s", traces / one_window_seconds},
+                    {"windowed_traces_per_s", traces / windowed_seconds},
+                    {"windowed_over_one_window_wall_speedup", speedup},
+                    {"traces_match", same}});
   }
 
   const std::string path = mont::bench::WriteBenchJson(
@@ -366,7 +450,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", path.c_str());
   if (!meets_gate) {
     std::printf("FAIL: capture overhead above the gate (or a wrong "
-                "result)\n");
+                "result, or windowed traces differ)\n");
     return 1;
   }
   return 0;

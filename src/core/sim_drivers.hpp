@@ -9,12 +9,29 @@
 // per simulation engine — are the single home for it.  The test harness
 // (tests/testutil_netlist.hpp) derives from them to add gtest-flavoured
 // convenience wrappers.
+//
+// MmmcModExpRunner runs the §4.5 exponentiation on the 64-lane engine
+// and can split one pass across CPUs at multiplication boundaries.  That
+// is exact because an MMM does not remember its history: the START edge
+// loads every operand register and clears the array, so the full net
+// state after an MMM and its drain edge is a function of that MMM's
+// operands alone.  A window that starts mid-exponentiation therefore
+// replays the MMM before its range as a warm-up and then continues
+// exactly as the one-window run would; every pass checks that at each
+// boundary before it returns.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "bignum/biguint.hpp"
@@ -193,6 +210,156 @@ class MmmcBatchSimDriver {
   const MmmcNetlist& gen_;
   std::unique_ptr<rtl::BatchSimulator> owned_;
   rtl::BatchSimulator& sim_;
+};
+
+/// Algorithm 2's exact output in closed form: for x, y < 2N,
+/// T = (xy + ((-xy * N^-1) mod R) * N) / R with R = 2^(l+2) — the value
+/// the bit-serial loop (BitSerialMontgomery::MultiplyAlg2) and the MMMC
+/// netlist produce, bit for bit, at a few big-integer operations instead
+/// of l+2 iterations.  MmmcModExpRunner predicts window entry points with
+/// it.
+class Alg2Predictor {
+ public:
+  /// Requires an odd modulus > 1 (std::invalid_argument otherwise).
+  explicit Alg2Predictor(const bignum::BigUInt& modulus);
+
+  bignum::BigUInt Multiply(const bignum::BigUInt& x,
+                           const bignum::BigUInt& y) const;
+
+ private:
+  bignum::BigUInt modulus_;
+  bignum::BigUInt n_prime_;  ///< -N^-1 mod R
+  std::size_t r_bits_ = 0;   ///< l + 2
+};
+
+/// CPUs in the calling thread's affinity mask (sched_getaffinity; 1 if
+/// it cannot be read).
+std::size_t AffinityCpuCount();
+
+/// The §4.5 modular exponentiation base^e mod N on a 64-lane MMMC,
+/// optionally split into windows that run on their own simulators and
+/// threads.
+///
+/// The MMM sequence (pre-computation Mont(M, R^2), a squaring per scanned
+/// exponent bit plus a multiply by M~ per set bit, post-processing
+/// Mont(A, 1)) is cut into contiguous ranges, one per window:
+///   * window 0 runs on the persistent simulator, sim();
+///   * window j > 0 runs on a window simulator over the same compiled
+///     netlist: it first replays MMM k_j - 1, the one before its range,
+///     with toggle counting paused, from operands predicted in software
+///     (Alg2Predictor), then runs its range;
+///   * inside a window every MMM takes its operands from the device's own
+///     RESULT bus; only the warm-up operands and M~ are predicted.
+/// Before Run() returns it checks, for every boundary: window j-1's last
+/// MMM operands equal window j's warm-up operands, window j-1's final net
+/// state equals window j's state after the warm-up, and window 0's device
+/// M~ equals the prediction.  A mismatch throws std::logic_error.  The
+/// simulator that ran the last window then becomes sim(), so the next
+/// call starts from exactly the state a one-window run leaves behind.
+///
+/// Window simulators and worker threads are created on first use and
+/// reused; a worker's exception is rethrown by Run().  The runner is not
+/// thread-safe: one Run() at a time.
+class MmmcModExpRunner {
+ public:
+  /// Builds a simulator with the modulus loaded and any toggle selection
+  /// enabled; called once for sim() and once per window simulator, the
+  /// latter on that window's worker thread.
+  using SimulatorFactory = std::function<std::unique_ptr<rtl::BatchSimulator>()>;
+  /// Called on the window's thread once samples [begin, end) of every
+  /// lane are in the sample buffer.
+  using WindowSink = std::function<void(std::size_t begin, std::size_t end)>;
+
+  MmmcModExpRunner(const MmmcNetlist& gen, const bignum::BigUInt& modulus,
+                   SimulatorFactory make_simulator);
+  ~MmmcModExpRunner();
+  MmmcModExpRunner(const MmmcModExpRunner&) = delete;
+  MmmcModExpRunner& operator=(const MmmcModExpRunner&) = delete;
+
+  /// The persistent simulator: window 0 and single multiplications run on
+  /// it, and after Run() its RESULT bus holds the exponentiations' results.
+  rtl::BatchSimulator& sim() { return *sims_[0]; }
+  const rtl::BatchSimulator& sim() const { return *sims_[0]; }
+
+  /// Samples one multiplication contributes: 3l+4, START to DONE.
+  std::size_t SamplesPerMmm() const { return 3 * gen_.l + 4; }
+  /// MMMs of one exponentiation: bits(e) + popcount(e).
+  static std::size_t MmmCount(const bignum::BigUInt& exponent);
+  /// Windows Run() uses for `requested` windows and this exponent:
+  /// capped so each window holds at least 4 MMMs, 1 when sim() carries
+  /// faults.
+  std::size_t Windows(std::size_t requested,
+                      const bignum::BigUInt& exponent) const;
+
+  /// One multiplication of up to 64 operand pairs on sim(); if `samples`
+  /// is non-empty it receives the per-lane toggle counts of every edge,
+  /// sample-major (sample s of lane k at s * lanes + k).
+  void Multiply(std::span<const bignum::BigUInt> xs,
+                std::span<const bignum::BigUInt> ys,
+                std::span<std::uint32_t> samples = {});
+
+  /// Runs bases[k]^exponent mod N on lane k (1 to 64 bases, each < N;
+  /// exponent nonzero) in Windows(windows, exponent) windows and returns
+  /// that count.  Samples are recorded as in Multiply() (MmmCount *
+  /// SamplesPerMmm per lane), and `sink` is told as each window's samples
+  /// complete.
+  std::size_t Run(std::span<const bignum::BigUInt> bases,
+                  const bignum::BigUInt& exponent, std::size_t windows,
+                  std::span<std::uint32_t> samples = {},
+                  const WindowSink& sink = {});
+
+ private:
+  enum class Step : std::uint8_t { kPre, kSquare, kMultiply, kPost };
+  /// Per-window working storage, reused across calls.
+  struct Window {
+    std::vector<bignum::BigUInt> m;       ///< M~ per lane
+    std::vector<bignum::BigUInt> warm_x;  ///< warm-up operands (j > 0)
+    std::vector<bignum::BigUInt> warm_y;
+    std::vector<std::uint64_t> entry_state;  ///< nets after the warm-up
+    std::exception_ptr error;
+  };
+
+  void RunWindow(std::size_t j);
+  void RunWindowCaught(std::size_t j);
+  /// Predicts M~ and the operands of MMM `warm_step` for every lane.
+  void Predict(Window& w, std::size_t warm_step) const;
+  /// Drives the operands of `step`, reading A from the RESULT bus.
+  void LoadOperands(rtl::BatchSimulator& sim, Step step,
+                    const Window& w) const;
+  /// START, 3l+3 more edges to DONE, and the drain edge; records the
+  /// first 3l+4 edges' toggle counts of lanes 0..lanes-1 to `out`
+  /// (sample-major) unless it is null.
+  void RunMmm(rtl::BatchSimulator& sim, std::size_t lanes,
+              std::uint32_t* out) const;
+  void CheckBoundaries(std::size_t windows) const;
+  /// Runs window j of every call from generation `seen` on.
+  void WorkerLoop(std::size_t j, std::uint64_t seen);
+
+  const MmmcNetlist& gen_;
+  bignum::BigUInt modulus_;
+  bignum::BigUInt r2_;  ///< R^2 mod N
+  /// Made on the first multi-window call (its N^-1 costs set-up time).
+  std::optional<Alg2Predictor> predictor_;
+  SimulatorFactory make_simulator_;
+  std::vector<std::unique_ptr<rtl::BatchSimulator>> sims_;
+  std::vector<Window> windows_;
+
+  /// The call in flight: written by Run() before it wakes the workers.
+  std::vector<Step> steps_;
+  std::vector<std::size_t> bounds_;  ///< window j runs [bounds_[j], bounds_[j+1])
+  std::span<const bignum::BigUInt> bases_;
+  std::span<std::uint32_t> samples_;
+  const WindowSink* sink_ = nullptr;
+  std::uint64_t lane_mask_ = 0;
+
+  std::mutex mu_;
+  std::condition_variable wake_;
+  std::condition_variable done_;
+  std::uint64_t generation_ = 0;
+  std::size_t active_windows_ = 0;
+  std::size_t busy_ = 0;
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;  ///< workers_[i] runs window i + 1
 };
 
 }  // namespace mont::core

@@ -186,9 +186,8 @@ void BatchSimulator::Tick() {
 void BatchSimulator::EnableToggleCapture() {
   toggle_all_nets_ = true;
   toggle_nets_.clear();
-  toggle_prev_.assign(words_.begin(), words_.begin() + compiled_.NetCount());
-  toggle_counts_.fill(0);
-  toggle_capture_ = true;
+  toggle_prev_.resize(compiled_.NetCount());
+  ResetToggleBaseline();
 }
 
 void BatchSimulator::EnableToggleCapture(std::span<const NetId> nets) {
@@ -201,19 +200,39 @@ void BatchSimulator::EnableToggleCapture(std::span<const NetId> nets) {
   toggle_all_nets_ = false;
   toggle_nets_.assign(nets.begin(), nets.end());
   toggle_prev_.resize(toggle_nets_.size());
-  for (std::size_t i = 0; i < toggle_nets_.size(); ++i) {
-    toggle_prev_[i] = words_[toggle_nets_[i]];
-  }
-  toggle_counts_.fill(0);
-  toggle_capture_ = true;
+  ResetToggleBaseline();
 }
 
 void BatchSimulator::DisableToggleCapture() {
   toggle_capture_ = false;
+  toggle_paused_ = false;
   toggle_all_nets_ = false;
   toggle_nets_.clear();
   toggle_prev_.clear();
   toggle_counts_.fill(0);
+}
+
+void BatchSimulator::PauseToggleCapture() {
+  if (!toggle_capture_) return;
+  toggle_capture_ = false;
+  toggle_paused_ = true;
+}
+
+void BatchSimulator::ResumeToggleCapture() {
+  if (toggle_paused_) ResetToggleBaseline();
+}
+
+void BatchSimulator::ResetToggleBaseline() {
+  if (toggle_all_nets_) {
+    std::copy_n(words_.begin(), toggle_prev_.size(), toggle_prev_.begin());
+  } else {
+    for (std::size_t i = 0; i < toggle_nets_.size(); ++i) {
+      toggle_prev_[i] = words_[toggle_nets_[i]];
+    }
+  }
+  toggle_counts_.fill(0);
+  toggle_capture_ = true;
+  toggle_paused_ = false;
 }
 
 namespace {

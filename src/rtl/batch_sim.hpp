@@ -120,8 +120,8 @@ class BatchSimulator {
   // table (about 1.0-1.4 us per edge over the 1916 nets of the 64-bit
   // MMMC).  Plain simulation got cheaper still, so a full-net ModExp
   // capture on that circuit takes about 1.9x the time of plain simulation
-  // of the same multiplications (bench_sca's capture_overhead row;
-  // 1.64-2.03x over five --smoke runs, gated at 2.2x).
+  // of the same multiplications on one CPU (bench_sca's capture_overhead
+  // row; 1.64-2.03x over five --smoke runs, gated at 2.2x).
 
   /// Enables per-cycle toggle accounting over every net of the circuit.
   /// The snapshot taken here is the baseline the next Tick()'s counts are
@@ -132,6 +132,14 @@ class BatchSimulator {
   /// for an unknown net.
   void EnableToggleCapture(std::span<const NetId> nets);
   void DisableToggleCapture();
+  /// Stops counting but keeps the tracked selection: edges until
+  /// ResumeToggleCapture() cost plain simulation.  A no-op while capture
+  /// is disabled.
+  void PauseToggleCapture();
+  /// Counts again after PauseToggleCapture(), measured against the values
+  /// the nets hold now (a no-op unless paused).
+  void ResumeToggleCapture();
+  /// True while counting (false while disabled or paused).
   bool ToggleCaptureEnabled() const { return toggle_capture_; }
   /// Number of tracked nets (0 while capture is disabled).
   std::size_t TrackedNetCount() const { return toggle_prev_.size(); }
@@ -187,6 +195,9 @@ class BatchSimulator {
   void Init();
   /// Folds this Tick's net changes into toggle_counts_ (capture enabled).
   void AccumulateToggles();
+  /// Snapshots the tracked nets' values as the next Tick's baseline,
+  /// zeroes the counts and (re)starts counting.
+  void ResetToggleBaseline();
   /// Un-faulted value of a source net (== words_[net] when not faulted).
   std::uint64_t RawOf(NetId net) const;
   /// Re-derives the evaluation-phase fault tables from faults_.
@@ -207,6 +218,7 @@ class BatchSimulator {
   /// NetId order), their previous post-Tick values, and the per-lane
   /// counts of the most recent Tick.
   bool toggle_capture_ = false;
+  bool toggle_paused_ = false;
   bool toggle_all_nets_ = false;
   std::vector<NetId> toggle_nets_;
   std::vector<std::uint64_t> toggle_prev_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/taint.hpp"
@@ -159,6 +160,34 @@ double WelchTPeak(const TraceSet& a, const TraceSet& b) {
 // GateLevelCapture
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The nets a capture with `options` counts; nullopt for every net.
+std::optional<std::vector<rtl::NetId>> TrackedNets(
+    const core::MmmcNetlist& gen, const CaptureOptions& options) {
+  if (options.datapath_only && options.secret_cone_only) {
+    throw std::invalid_argument(
+        "GateLevelCapture: datapath_only and secret_cone_only are exclusive");
+  }
+  if (!options.datapath_only && !options.secret_cone_only) return std::nullopt;
+  std::vector<rtl::NetId> tracked;
+  if (options.datapath_only) {
+    for (const rtl::Bus* bus : {&gen.t_probe, &gen.c0_probe, &gen.c1_probe}) {
+      tracked.insert(tracked.end(), bus->begin(), bus->end());
+    }
+  } else {
+    const analysis::TaintReport taint = analysis::AnalyzeTaint(*gen.netlist);
+    for (std::size_t id = 0; id < gen.netlist->NodeCount(); ++id) {
+      if (analysis::DependsOnSecret(taint.LabelOf(static_cast<rtl::NetId>(id)))) {
+        tracked.push_back(static_cast<rtl::NetId>(id));
+      }
+    }
+  }
+  return tracked;
+}
+
+}  // namespace
+
 GateLevelCapture::GateLevelCapture(BigUInt modulus,
                                    const CaptureOptions& options)
     : options_(options),
@@ -168,73 +197,29 @@ GateLevelCapture::GateLevelCapture(BigUInt modulus,
               ? bignum::gf2::Degree(modulus_)
               : modulus_.BitLength(),
           /*dual_field=*/options.field == core::FieldMode::kGf2)),
-      sim_(std::make_unique<rtl::BatchSimulator>(*gen_.netlist)),
+      compiled_(*gen_.netlist),
+      tracked_(TrackedNets(gen_, options)),
+      // BitSerialMontgomery's constructor rejects even or trivial moduli
+      // (a GF(2^m) polynomial with f(0) = 1 is odd, so it passes too); the
+      // netlist generator rejects l < 2.
       ctx_(modulus_),
-      noise_rng_(options.noise_seed) {
-  // BitSerialMontgomery's constructor has already rejected even or trivial
-  // moduli (a GF(2^m) polynomial with f(0) = 1 is odd, so it passes too);
-  // the netlist generator rejects l < 2.
-  core::DriveBusAllLanes(*sim_, gen_.n_in, modulus_);
+      runner_(gen_, modulus_, [this] { return MakeSimulator(); }),
+      noise_rng_(options.noise_seed) {}
+
+std::unique_ptr<rtl::BatchSimulator> GateLevelCapture::MakeSimulator() const {
+  auto sim = std::make_unique<rtl::BatchSimulator>(compiled_);
+  core::DriveBusAllLanes(*sim, gen_.n_in, modulus_);
   if (gen_.fsel != rtl::kNoNet) {
-    sim_->SetInputAll(gen_.fsel, options_.field == core::FieldMode::kGfP);
+    sim->SetInputAll(gen_.fsel, options_.field == core::FieldMode::kGfP);
   }
-  sim_->SetInputAll(gen_.start, false);
-  sim_->Settle();
-  if (options_.datapath_only && options_.secret_cone_only) {
-    throw std::invalid_argument(
-        "GateLevelCapture: datapath_only and secret_cone_only are exclusive");
-  }
-  if (options_.datapath_only) {
-    std::vector<rtl::NetId> tracked;
-    for (const rtl::Bus* bus : {&gen_.t_probe, &gen_.c0_probe, &gen_.c1_probe}) {
-      tracked.insert(tracked.end(), bus->begin(), bus->end());
-    }
-    sim_->EnableToggleCapture(tracked);
-  } else if (options_.secret_cone_only) {
-    const analysis::TaintReport taint = analysis::AnalyzeTaint(*gen_.netlist);
-    std::vector<rtl::NetId> tracked;
-    for (std::size_t id = 0; id < gen_.netlist->NodeCount(); ++id) {
-      if (analysis::DependsOnSecret(taint.LabelOf(static_cast<rtl::NetId>(id)))) {
-        tracked.push_back(static_cast<rtl::NetId>(id));
-      }
-    }
-    sim_->EnableToggleCapture(tracked);
+  sim->SetInputAll(gen_.start, false);
+  sim->Settle();
+  if (tracked_) {
+    sim->EnableToggleCapture(*tracked_);
   } else {
-    sim_->EnableToggleCapture();
+    sim->EnableToggleCapture();
   }
-}
-
-std::vector<BigUInt> GateLevelCapture::LaneResults(std::size_t lanes) const {
-  return sim_->PeekWideLanes(gen_.result, lanes);
-}
-
-void GateLevelCapture::RunOneMmm(const std::vector<BigUInt>& xs,
-                                 const std::vector<BigUInt>& ys,
-                                 std::span<std::uint32_t>& out) {
-  if (out.size() < SamplesPerMultiplication() * xs.size()) {
-    throw std::logic_error("GateLevelCapture: sample buffer overrun");
-  }
-  core::MmmcBatchSimDriver driver(gen_, *sim_);
-  const auto record = [&] {
-    std::copy_n(sim_->ToggleCounts().begin(), xs.size(), out.begin());
-    out = out.subspan(xs.size());
-  };
-  driver.Start(xs, ys);  // START edge: operand load — sample 0 of this MMM
-  record();
-  for (std::size_t cycle = 1; cycle < SamplesPerMultiplication(); ++cycle) {
-    if (driver.AllDone()) {
-      throw std::runtime_error("GateLevelCapture: DONE before 3l+4 cycles");
-    }
-    driver.Tick();
-    record();
-  }
-  if (!driver.AllDone()) {
-    throw std::runtime_error("GateLevelCapture: DONE never arrived");
-  }
-  // Drain OUT -> IDLE so the next START is sampled from IDLE.  The drain
-  // edge is control-only housekeeping between multiplications and is not
-  // part of any MMM's 3l+4-sample window.
-  driver.Tick();
+  return sim;
 }
 
 template <typename RunPass>
@@ -247,20 +232,19 @@ TraceSet GateLevelCapture::Capture(std::size_t count, std::size_t mmms,
       samples * std::min(rtl::BatchSimulator::kLanes, count));
   for (std::size_t at = 0; at < count; at += rtl::BatchSimulator::kLanes) {
     const std::size_t n = std::min(rtl::BatchSimulator::kLanes, count - at);
-    std::span<std::uint32_t> out(pass.data(), samples * n);
-    run_pass(at, n, out);
-    if (!out.empty()) {
-      throw std::logic_error("GateLevelCapture: pass sample count mismatch");
-    }
     // Sample-major (sample s of lane k at s*n + k) to row-major, in
     // blocks of 64 samples so the reads stay in cache.
-    for (std::size_t s0 = 0; s0 < samples; s0 += 64) {
-      const std::size_t s1 = std::min(samples, s0 + 64);
-      for (std::size_t k = 0; k < n; ++k) {
-        double* row = data.data() + (at + k) * samples;
-        for (std::size_t s = s0; s < s1; ++s) row[s] = pass[s * n + k];
+    const auto transpose = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s0 = begin; s0 < end; s0 += 64) {
+        const std::size_t s1 = std::min(end, s0 + 64);
+        for (std::size_t k = 0; k < n; ++k) {
+          double* row = data.data() + (at + k) * samples;
+          for (std::size_t s = s0; s < s1; ++s) row[s] = pass[s * n + k];
+        }
       }
-    }
+    };
+    run_pass(at, n, std::span<std::uint32_t>(pass.data(), samples * n),
+             transpose);
   }
   TraceSet out(count, samples, std::move(data));
   out.AddGaussianNoise(options_.noise_sigma, noise_rng_);
@@ -282,12 +266,11 @@ TraceSet GateLevelCapture::CaptureMultiplications(
           "GateLevelCapture::CaptureMultiplications: operand outside window");
     }
   }
-  std::vector<BigUInt> chunk_x, chunk_y;
   return Capture(xs.size(), 1, [&](std::size_t at, std::size_t n,
-                                   std::span<std::uint32_t>& out) {
-    chunk_x.assign(xs.begin() + at, xs.begin() + at + n);
-    chunk_y.assign(ys.begin() + at, ys.begin() + at + n);
-    RunOneMmm(chunk_x, chunk_y, out);
+                                   std::span<std::uint32_t> samples,
+                                   const auto& transpose) {
+    runner_.Multiply(xs.subspan(at, n), ys.subspan(at, n), samples);
+    transpose(0, SamplesPerMultiplication());
   });
 }
 
@@ -307,33 +290,14 @@ TraceSet GateLevelCapture::CaptureModExps(std::span<const BigUInt> bases,
           "GateLevelCapture::CaptureModExps: base must be < modulus");
     }
   }
-  // pre-computation + (bits-1) squarings + (popcount-1) multiplies + post
-  const std::size_t mmms = exponent.BitLength() + exponent.PopCount();
-  return Capture(bases.size(), mmms, [&](std::size_t at, std::size_t n,
-                                         std::span<std::uint32_t>& out) {
-    std::vector<BigUInt> x(n), y(n);
-    // Pre-computation: M~ = Mont(M, R^2) — §4.5's first MMM.
-    for (std::size_t k = 0; k < n; ++k) {
-      x[k] = bases[at + k];
-      y[k] = ctx_.RSquaredModN();
-    }
-    RunOneMmm(x, y, out);
-    const std::vector<BigUInt> m_mont = LaneResults(n);
-    std::vector<BigUInt> a = m_mont;
-    // Left-to-right scan: every intermediate feeds back from the device's
-    // own RESULT bus, so the traces are of a self-contained execution.
-    for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-      RunOneMmm(a, a, out);
-      a = LaneResults(n);
-      if (exponent.Bit(i)) {
-        RunOneMmm(a, m_mont, out);
-        a = LaneResults(n);
-      }
-    }
-    // Post-processing: Mont(A, 1) strips R.
-    std::fill(y.begin(), y.end(), BigUInt{1});
-    RunOneMmm(a, y, out);
-  });
+  const std::size_t windows = core::AffinityCpuCount();
+  return Capture(bases.size(), core::MmmcModExpRunner::MmmCount(exponent),
+                 [&](std::size_t at, std::size_t n,
+                     std::span<std::uint32_t> samples,
+                     const auto& transpose) {
+                   runner_.Run(bases.subspan(at, n), exponent, windows,
+                               samples, transpose);
+                 });
 }
 
 }  // namespace mont::sca

@@ -18,10 +18,22 @@
 //    throughput.  Capture units are single Montgomery multiplications or
 //    whole left-to-right modular exponentiations (the §4.5 flow, which is
 //    what the CPA engine in sca/attack.hpp attacks).
+//
+//    An exponentiation pass runs on core::MmmcModExpRunner, split into
+//    one window per CPU of the calling thread's affinity mask (at least
+//    4 MMMs per window; one window when the simulator carries faults).
+//    Each window simulates its own range of MMMs on its own simulator
+//    over the capture's one compiled netlist, records its own slice of
+//    the samples and writes its own columns of the traces.  An MMM's
+//    START edge loads every operand register and clears the array, so
+//    the circuit's state after an MMM does not depend on what ran before
+//    it; the runner checks that at every window boundary, and the traces
+//    are bit-identical to a one-window capture whatever the CPU count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -30,7 +42,9 @@
 #include "bignum/random.hpp"
 #include "core/mmmc.hpp"
 #include "core/netlist_gen.hpp"
+#include "core/sim_drivers.hpp"
 #include "rtl/batch_sim.hpp"
+#include "rtl/compiled.hpp"
 
 namespace mont::sca {
 
@@ -138,7 +152,9 @@ class GateLevelCapture {
   const bignum::BigUInt& Modulus() const { return modulus_; }
   const CaptureOptions& Options() const { return options_; }
   /// Nets contributing to each power sample.
-  std::size_t TrackedNetCount() const { return sim_->TrackedNetCount(); }
+  std::size_t TrackedNetCount() const {
+    return runner_.sim().TrackedNetCount();
+  }
   /// Samples one multiplication contributes: the paper's 3l+4 cycles,
   /// from the START edge (operand load) to DONE inclusive.
   std::size_t SamplesPerMultiplication() const { return 3 * gen_.l + 4; }
@@ -154,10 +170,17 @@ class GateLevelCapture {
   /// base^exponent mod N run MMM-by-MMM on the netlist (pre-computation,
   /// square/conditional-multiply scan, post-processing).  All executions
   /// share `exponent`, so the MMM schedule is lane-uniform and 64 bases
-  /// capture per pass.  Bases must be < N; exponent must be nonzero.
-  /// Trace length = (mmm count) * SamplesPerMultiplication().  GF(p) only.
+  /// capture per pass; each pass is split across the calling thread's
+  /// CPUs (see the file comment).  Bases must be < N; exponent must be
+  /// nonzero.  Trace length = (mmm count) * SamplesPerMultiplication().
+  /// GF(p) only.
   TraceSet CaptureModExps(std::span<const bignum::BigUInt> bases,
                           const bignum::BigUInt& exponent);
+  /// Windows each CaptureModExps(_, exponent) pass from the calling
+  /// thread is split into.
+  std::size_t ModExpWindows(const bignum::BigUInt& exponent) const {
+    return runner_.Windows(core::AffinityCpuCount(), exponent);
+  }
 
   /// Montgomery context of the captured circuit (R = 2^(l+2)); the
   /// attack engine replays hypotheses through the same arithmetic.
@@ -165,26 +188,24 @@ class GateLevelCapture {
 
  private:
   /// The one capture path: `count` executions of `mmms` multiplications
-  /// each, 64 per simulation pass.  run_pass(at, n, out) issues the
-  /// multiplications of executions [at, at+n) through RunOneMmm.  Samples
-  /// land in one sample-major buffer sized from the schedule and are
-  /// transposed once per pass into the row-major result.
+  /// each, 64 per simulation pass.  run_pass(at, n, samples, transpose)
+  /// runs executions [at, at+n), recording into `samples` (sample-major),
+  /// and calls transpose(begin, end) once samples [begin, end) are in;
+  /// that copies them into the row-major result.
   template <typename RunPass>
   TraceSet Capture(std::size_t count, std::size_t mmms, RunPass run_pass);
-  /// Presents per-lane operands, pulses START, and writes one sample per
-  /// lane per clock edge (START..DONE, 3l+4 edges) to the front of `out`,
-  /// which it advances past them; drains OUT afterwards.
-  void RunOneMmm(const std::vector<bignum::BigUInt>& xs,
-                 const std::vector<bignum::BigUInt>& ys,
-                 std::span<std::uint32_t>& out);
-  /// Results of the completed multiplication on lanes 0..lanes-1.
-  std::vector<bignum::BigUInt> LaneResults(std::size_t lanes) const;
+  /// A simulator over compiled_ with the modulus loaded and the options'
+  /// toggle selection enabled.
+  std::unique_ptr<rtl::BatchSimulator> MakeSimulator() const;
 
   CaptureOptions options_;
   bignum::BigUInt modulus_;
   core::MmmcNetlist gen_;
-  std::unique_ptr<rtl::BatchSimulator> sim_;
+  rtl::CompiledNetlist compiled_;
+  /// Nets each sample counts (nullopt: every net).
+  std::optional<std::vector<rtl::NetId>> tracked_;
   bignum::BitSerialMontgomery ctx_;
+  core::MmmcModExpRunner runner_;
   bignum::Xoshiro256 noise_rng_;
 };
 

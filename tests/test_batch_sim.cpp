@@ -920,5 +920,52 @@ TEST(BatchToggles, EmptySelectionTracksNothing) {
                std::out_of_range);
 }
 
+// Paused edges are not counted; the first edge after a resume counts
+// against the values at the resume, exactly as if counting had never
+// stopped.
+TEST(BatchToggles, PauseSkipsEdgesAndResumeRebaselines) {
+  const auto gen = core::BuildMmmcNetlist(8);
+  BatchSimulator paused(*gen.netlist);
+  BatchSimulator counting(*gen.netlist);
+  auto rng = mont::test::TestRng();
+  for (BatchSimulator* sim : {&paused, &counting}) {
+    sim->PauseToggleCapture();  // disabled: a no-op
+    EXPECT_FALSE(sim->ToggleCaptureEnabled());
+    sim->EnableToggleCapture();
+  }
+  std::vector<bignum::BigUInt> xs, ys;
+  for (int lane = 0; lane < 64; ++lane) {
+    xs.push_back(rng.ExactBits(8));
+    ys.push_back(rng.ExactBits(8));
+  }
+  for (BatchSimulator* sim : {&paused, &counting}) {
+    sim->SetInputWideLanes(gen.x_in, xs);
+    sim->SetInputWideLanes(gen.y_in, ys);
+    sim->SetInputAll(gen.start, true);
+    sim->Tick();
+    sim->SetInputAll(gen.start, false);
+  }
+  const auto before_pause = paused.ToggleCounts();
+  paused.PauseToggleCapture();
+  EXPECT_FALSE(paused.ToggleCaptureEnabled());
+  EXPECT_EQ(paused.TrackedNetCount(), gen.netlist->NodeCount());
+  for (int edge = 0; edge < 5; ++edge) {
+    paused.Tick();
+    counting.Tick();
+  }
+  EXPECT_EQ(paused.ToggleCounts(), before_pause);
+  paused.ResumeToggleCapture();
+  EXPECT_TRUE(paused.ToggleCaptureEnabled());
+  for (int edge = 0; edge < 5; ++edge) {
+    paused.Tick();
+    counting.Tick();
+    EXPECT_EQ(paused.ToggleCounts(), counting.ToggleCounts()) << "edge " << edge;
+  }
+  counting.ResumeToggleCapture();  // not paused: a no-op
+  counting.Tick();
+  paused.Tick();
+  EXPECT_EQ(paused.ToggleCounts(), counting.ToggleCounts());
+}
+
 }  // namespace
 }  // namespace mont::rtl
