@@ -29,10 +29,12 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "bignum/exp_schedule.hpp"
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
 #include "core/netlist_gen.hpp"
@@ -88,28 +90,25 @@ bool SameTraces(const mont::sca::TraceSet& a, const mont::sca::TraceSet& b) {
   return true;
 }
 
-/// The §4.5 exponentiation MMM by MMM on the 64-lane driver with toggle
+/// The §4.5 schedule executed MMM by MMM on the 64-lane driver with toggle
 /// capture off: the plain simulation a capture pass is measured against.
 /// Returns one result per base (empty on a hung multiplication).
 std::vector<BigUInt> PlainModExps(mont::core::MmmcBatchSimDriver& driver,
                                   const mont::bignum::BitSerialMontgomery& ctx,
-                                  const std::vector<BigUInt>& bases,
-                                  const BigUInt& exponent) {
-  std::vector<BigUInt> m_mont, a, next, out;
-  const std::vector<BigUInt> r2(bases.size(), ctx.RSquaredModN());
-  if (!driver.TryMultiply(bases, r2, &m_mont)) return {};
-  a = m_mont;
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    if (!driver.TryMultiply(a, a, &next)) return {};
-    a.swap(next);
-    if (exponent.Bit(i)) {
-      if (!driver.TryMultiply(a, m_mont, &next)) return {};
-      a.swap(next);
-    }
-  }
-  const std::vector<BigUInt> ones(bases.size(), BigUInt{1});
-  if (!driver.TryMultiply(a, ones, &out)) return {};
-  return out;
+                                  std::span<const mont::bignum::ExpStep> steps,
+                                  const std::vector<BigUInt>& bases) {
+  using Lanes = std::vector<BigUInt>;
+  mont::bignum::ExpExecutor<Lanes> run(
+      steps, bases, Lanes(bases.size(), ctx.RSquaredModN()),
+      Lanes(bases.size(), BigUInt{1}));
+  bool hung = false;
+  run.Run([&](const Lanes& x, const Lanes& y) {
+    Lanes out;
+    hung = hung || !driver.TryMultiply(x, y, &out);
+    return out;
+  });
+  if (hung) return {};
+  return run.Result();
 }
 
 }  // namespace
@@ -341,9 +340,11 @@ int main(int argc, char** argv) {
     plain.sim().SetInputAll(gen.start, false);
     plain.sim().Settle();
     const mont::bignum::BitSerialMontgomery ctx(n);
+    std::vector<mont::bignum::ExpStep> steps;
+    mont::bignum::BuildExpSchedule(mont::bignum::ExpMode::kAlg3, exponent,
+                                   &steps);
     const std::size_t samples =
-        (exponent.BitLength() + exponent.PopCount()) *
-        capture.SamplesPerMultiplication();
+        steps.size() * capture.SamplesPerMultiplication();
     // One CPU: the capture runs one window, so the ratio measures toggle
     // accounting and trace assembly against plain simulation.
     const cpu_set_t all_cpus = PinToOneCpu();
@@ -364,7 +365,7 @@ int main(int argc, char** argv) {
             std::min(capture_seconds, Seconds(capture_begin, Clock::now()));
         const auto plain_begin = Clock::now();
         const std::vector<BigUInt> results =
-            PlainModExps(plain, ctx, bases, exponent);
+            PlainModExps(plain, ctx, steps, bases);
         plain_seconds =
             std::min(plain_seconds, Seconds(plain_begin, Clock::now()));
         correct = correct && traces.Count() == bases.size() &&

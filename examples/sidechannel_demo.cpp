@@ -1,73 +1,114 @@
 // sidechannel_demo — an end-to-end SPA attack and its countermeasure,
-// on the reproduced hardware models.
+// on the paper's Algorithm-2 multiplier.
 //
 // A 64-bit RSA-style secret exponent is used with left-to-right binary
-// exponentiation; the attacker observes only the sequence of Montgomery
-// operations (square vs multiply — distinguishable on a real trace by
-// timing gaps between DONE pulses) and reconstructs the key.  The same
-// attack against the Montgomery ladder recovers nothing.
+// exponentiation (the paper's Algorithm 3); the attacker observes only the
+// sequence of Montgomery operations (square vs multiply — distinguishable
+// on a real trace by timing gaps between DONE pulses) and reconstructs the
+// key.  The same attack against the Montgomery ladder recovers nothing:
+// a key that differs in one bit gives the identical sequence.
+//
+// Exits 1 if the attack fails on the binary schedule, if the ladder's
+// sequence depends on the key, or if either schedule computes a wrong
+// power.
 //
 //   $ ./examples/sidechannel_demo
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "bignum/exp_schedule.hpp"
+#include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
-#include "core/exp_algorithms.hpp"
+
+namespace {
+
+using mont::bignum::BigUInt;
+using mont::bignum::ExpMode;
+using mont::bignum::ExpOp;
+using mont::bignum::ExpStep;
+
+std::vector<ExpStep> Schedule(ExpMode mode, const BigUInt& exponent) {
+  std::vector<ExpStep> steps;
+  mont::bignum::BuildExpSchedule(mode, exponent, &steps);
+  return steps;
+}
+
+/// The main-loop operations an SPA observer sees, as 'S'/'M'.
+std::string Operations(const std::vector<ExpStep>& steps) {
+  std::string ops;
+  for (const ExpStep& step : steps) {
+    if (step.op != ExpOp::kDomain) {
+      ops.push_back(step.op == ExpOp::kSquare ? 'S' : 'M');
+    }
+  }
+  return ops;
+}
+
+std::string Shown(const std::string& ops, std::size_t limit) {
+  return ops.size() > limit ? ops.substr(0, limit) + "..." : ops;
+}
+
+/// base^e mod N: the schedule executed over Algorithm 2.
+BigUInt Power(const mont::bignum::BitSerialMontgomery& ctx,
+              const std::vector<ExpStep>& steps, const BigUInt& base) {
+  mont::bignum::ExpExecutor<BigUInt> run(steps, base % ctx.Modulus(),
+                                         ctx.RSquaredModN(), BigUInt{1});
+  run.Run([&ctx](const BigUInt& x, const BigUInt& y) {
+    return ctx.MultiplyAlg2(x, y);
+  });
+  return run.Result() % ctx.Modulus();
+}
+
+}  // namespace
 
 int main() {
-  using mont::bignum::BigUInt;
-  using mont::core::ExpAlgorithm;
-  using mont::core::ExpTrace;
-  using mont::core::MmmOp;
-
   mont::bignum::RandomBigUInt rng(0xa77ac4u);
   const BigUInt n = rng.OddExactBits(64);
   const BigUInt secret = rng.ExactBits(64);
-  const mont::core::MultiExponentiator exponentiator(n);
+  const mont::bignum::BitSerialMontgomery ctx(n);
+  const BigUInt base{2};
+  const BigUInt want = BigUInt::ModExp(base, secret, n);
+  bool ok = true;
 
   std::printf("modulus N = 0x%s\n", n.ToHex().c_str());
   std::printf("secret  d = 0x%s  (the attacker wants this)\n\n",
               secret.ToHex().c_str());
 
-  const auto show = [](const ExpTrace& trace, std::size_t limit) {
-    std::string ops;
-    for (std::size_t i = 0; i < trace.operations.size() && i < limit; ++i) {
-      ops.push_back(trace.operations[i] == MmmOp::kSquare ? 'S' : 'M');
-    }
-    if (trace.operations.size() > limit) ops += "...";
-    return ops;
-  };
-
   // --- the leaky way -------------------------------------------------------
-  ExpTrace leaky;
-  exponentiator.ModExp(BigUInt{2}, secret, ExpAlgorithm::kLeftToRight, 4,
-                       &leaky);
-  std::printf("left-to-right binary emits: %s\n", show(leaky, 48).c_str());
-  const auto recovered = RecoverExponentFromTrace(leaky.operations);
+  const std::vector<ExpStep> leaky = Schedule(ExpMode::kAlg3, secret);
+  std::printf("left-to-right binary emits: %s\n",
+              Shown(Operations(leaky), 48).c_str());
   BigUInt guess{1};  // the implicit leading 1-bit
-  for (const bool bit : recovered) {
+  for (const bool bit : mont::bignum::RecoverExponentFromTrace(leaky)) {
     guess <<= 1;
     if (bit) guess.SetBit(0, true);
   }
   std::printf("SPA-recovered exponent:     0x%s\n", guess.ToHex().c_str());
   std::printf("full key recovered: %s\n\n",
               guess == secret ? "YES — one trace was enough" : "no");
+  ok = ok && guess == secret && Power(ctx, leaky, base) == want;
 
   // --- the constant-sequence way -------------------------------------------
-  ExpTrace guarded;
-  exponentiator.ModExp(BigUInt{2}, secret, ExpAlgorithm::kMontgomeryLadder, 4,
-                       &guarded);
-  std::printf("Montgomery ladder emits:    %s\n", show(guarded, 48).c_str());
-  std::printf("every bit costs exactly one M and one S — the sequence is "
-              "independent of d.\n");
-  std::printf("cost of the countermeasure: %llu vs %llu MMMs (%.0f%% more)\n",
-              static_cast<unsigned long long>(guarded.TotalMmms()),
-              static_cast<unsigned long long>(leaky.TotalMmms()),
-              100.0 * (static_cast<double>(guarded.TotalMmms()) /
-                           static_cast<double>(leaky.TotalMmms()) -
+  const std::vector<ExpStep> guarded = Schedule(ExpMode::kLadder, secret);
+  BigUInt other = secret;
+  other.SetBit(10, !other.Bit(10));
+  const bool same_sequence =
+      Operations(guarded) == Operations(Schedule(ExpMode::kLadder, other));
+  std::printf("Montgomery ladder emits:    %s\n",
+              Shown(Operations(guarded), 48).c_str());
+  std::printf("every bit costs exactly one M and one S; a key differing in "
+              "bit 10 emits the same sequence: %s\n",
+              same_sequence ? "yes" : "no");
+  std::printf("cost of the countermeasure: %zu vs %zu MMMs (%.0f%% more)\n",
+              guarded.size(), leaky.size(),
+              100.0 * (static_cast<double>(guarded.size()) /
+                           static_cast<double>(leaky.size()) -
                        1.0));
-  std::printf("\n(Both traces come from the same Algorithm-2 multiplier; the "
+  ok = ok && same_sequence && Power(ctx, guarded, base) == want;
+
+  std::printf("\n(Both schedules run on the same Algorithm-2 multiplier; the "
               "MMMC itself is constant-\ntime per §5 of the paper — the leak "
               "lives one level up, in the operation schedule.)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "bignum/exp_schedule.hpp"
+
 namespace mont::bignum {
 
 // ---------------------------------------------------------------------------
@@ -62,23 +64,6 @@ BigUInt BitSerialMontgomery::FromMont(const BigUInt& x) const {
   // residues; reduce anyway so callers always receive a canonical value.
   if (t >= modulus_) t -= modulus_;
   return t;
-}
-
-BigUInt BitSerialMontgomery::ModExp(const BigUInt& base,
-                                    const BigUInt& exponent) const {
-  const BigUInt m = base % modulus_;
-  if (exponent.IsZero()) return BigUInt{1} % modulus_;
-  // Pre-computation: feed MR mod 2N into the exponentiator.
-  const BigUInt m_mont = ToMont(m);
-  BigUInt a = m_mont;
-  // Algorithm 3: left-to-right square-and-multiply, top bit consumed by the
-  // initialisation A <- M.
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = MultiplyAlg2(a, a);
-    if (exponent.Bit(i)) a = MultiplyAlg2(a, m_mont);
-  }
-  // Post-processing: one Montgomery multiplication by 1 removes R.
-  return FromMont(a);
 }
 
 // ---------------------------------------------------------------------------
@@ -279,14 +264,13 @@ BigUInt WordMontgomery::FromMont(const BigUInt& x) const {
 
 BigUInt WordMontgomery::ModExp(const BigUInt& base, const BigUInt& exponent,
                                Variant variant) const {
-  if (exponent.IsZero()) return BigUInt{1} % modulus_;
-  const BigUInt m_mont = ToMont(base % modulus_);
-  BigUInt a = m_mont;
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = Multiply(a, a, variant);
-    if (exponent.Bit(i)) a = Multiply(a, m_mont, variant);
-  }
-  return Multiply(a, BigUInt{1}, variant);
+  std::vector<ExpStep> steps;
+  BuildExpSchedule(ExpMode::kAlg3, exponent, &steps);
+  ExpExecutor<BigUInt> run(steps, base % modulus_, r2_mod_n_, BigUInt{1});
+  run.Run([&](const BigUInt& x, const BigUInt& y) {
+    return Multiply(x, y, variant);
+  });
+  return run.Result();
 }
 
 }  // namespace mont::bignum

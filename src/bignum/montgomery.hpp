@@ -7,8 +7,8 @@
 //    (with final subtraction, R = 2^l) and Algorithm 2 (without final
 //    subtraction, R = 2^(l+2), Walter's bound 4N < R).  These are the golden
 //    models the cycle-accurate systolic hardware in src/core is checked
-//    against, and they expose the paper's pre-/post-processing flow for
-//    modular exponentiation (§4.5).
+//    against.  Exponentiation over them runs the shared §4.5 schedule
+//    (bignum/exp_schedule.hpp).
 //
 //  * WordMontgomery — word-level (2^32 radix) CIOS / SOS / FIPS variants as
 //    classified by Koç, Acar & Kaliski.  These serve as software baselines in
@@ -56,11 +56,6 @@ class BitSerialMontgomery {
   /// final step is bounded by N (reduced below N here for API convenience).
   BigUInt FromMont(const BigUInt& x) const;
 
-  /// Modular exponentiation per the paper's §4.5 flow: pre-multiply by
-  /// R^2 mod N, left-to-right square-and-multiply over Algorithm 2, then a
-  /// final Mont(·, 1).  Returns base^exponent mod N.
-  BigUInt ModExp(const BigUInt& base, const BigUInt& exponent) const;
-
  private:
   BigUInt modulus_;
   BigUInt modulus_times_two_;
@@ -96,8 +91,8 @@ class WordMontgomery {
   BigUInt ToMont(const BigUInt& x) const;
   BigUInt FromMont(const BigUInt& x) const;
 
-  /// base^exponent mod N via left-to-right square-and-multiply in the
-  /// Montgomery domain with the chosen multiplication variant.
+  /// base^exponent mod N: the §4.5 schedule (ExpMode::kAlg3) executed
+  /// over Multiply with the chosen variant.
   BigUInt ModExp(const BigUInt& base, const BigUInt& exponent,
                  Variant variant = Variant::kCios) const;
 

@@ -116,41 +116,37 @@ BigUInt MmmEngine::Reduce(BigUInt v) const {
   return v;
 }
 
+EngineStats ScheduleStats(std::span<const bignum::ExpStep> steps,
+                          std::size_t l) {
+  EngineStats stats;
+  for (const bignum::ExpStep& step : steps) {
+    if (step.op == bignum::ExpOp::kSquare) ++stats.squarings;
+    if (step.op == bignum::ExpOp::kMultiply) ++stats.multiplications;
+  }
+  stats.mmm_invocations = steps.size();
+  if (!steps.empty()) {
+    stats.paper_model_cycles =
+        ExponentiationCycles(l, stats.squarings, stats.multiplications);
+  }
+  return stats;
+}
+
 BigUInt MmmEngine::ModExp(const BigUInt& base, const BigUInt& exponent,
                           EngineStats* stats) const {
-  if (exponent.IsZero()) return Reduce(BigUInt{1});
-  const BigUInt m = Reduce(base);
-
+  std::vector<bignum::ExpStep> steps;
+  bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, exponent, &steps);
+  bignum::ExpExecutor<BigUInt> run(steps, Reduce(base), MontFactor(),
+                                   BigUInt{1});
   std::uint64_t cycles = 0;
-  EngineStats local;
-  // Pre-computation: M*R = Mont(M, R^2) — one MMM like any other (§4.5).
-  const BigUInt m_mont = Multiply(m, MontFactor(), &cycles);
-  ++local.mmm_invocations;
-
-  // Algorithm 3: A <- M~; scan remaining exponent bits left to right.
-  BigUInt a = m_mont;
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = Multiply(a, a, &cycles);
-    ++local.squarings;
-    ++local.mmm_invocations;
-    if (exponent.Bit(i)) {
-      a = Multiply(a, m_mont, &cycles);
-      ++local.multiplications;
-      ++local.mmm_invocations;
-    }
-  }
-
-  // Post-processing: Mont(A, 1) strips R; reduce to the canonical range.
-  BigUInt out = Reduce(Multiply(a, BigUInt{1}, &cycles));
-  ++local.mmm_invocations;
-
+  run.Run([&](const BigUInt& x, const BigUInt& y) {
+    return Multiply(x, y, &cycles);
+  });
   if (stats != nullptr) {
+    EngineStats local = ScheduleStats(steps, l_);
     local.engine_cycles = cycles;
-    local.paper_model_cycles =
-        ExponentiationCycles(l_, local.squarings, local.multiplications);
     *stats += local;
   }
-  return out;
+  return Reduce(run.Result());
 }
 
 // ---------------------------------------------------------------------------

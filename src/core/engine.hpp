@@ -16,9 +16,9 @@
 //                    engines, charged per the validated formula otherwise);
 //   * ToMont() / FromMont() / Reduce() — domain entry/exit and canonical
 //                    reduction, built on Multiply via MontFactor();
-//   * ModExp()     — generic left-to-right square-and-multiply (§4.5,
-//                    Algorithm 3) over Multiply, with normalized
-//                    `EngineStats`;
+//   * ModExp()     — the shared §4.5 schedule (bignum/exp_schedule.hpp,
+//                    Algorithm 3) executed over Multiply, with
+//                    `EngineStats` counted from the schedule's steps;
 //   * Caps()       — capability flags: dual-field GF(2^m) support,
 //                    dual-modulus pairing, batch lanes, cycle accuracy.
 //
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bignum/biguint.hpp"
+#include "bignum/exp_schedule.hpp"
 
 namespace mont::core {
 
@@ -95,6 +96,12 @@ struct EngineStats {
 
   EngineStats& operator+=(const EngineStats& other);
 };
+
+/// A schedule's operation counts for operand length l: squarings and
+/// multiplications from each step's ExpOp, one MMM invocation per step,
+/// and, unless the schedule is empty, the paper's §4.5 cycle model.
+EngineStats ScheduleStats(std::span<const bignum::ExpStep> steps,
+                          std::size_t l);
 
 /// Construction-time options for MakeEngine.
 struct EngineOptions {
@@ -157,10 +164,12 @@ class MmmEngine {
   /// Canonical reduction: v mod N for GF(p), v(x) mod f(x) for GF(2^m).
   bignum::BigUInt Reduce(bignum::BigUInt v) const;
 
-  /// base^exponent fully reduced, via left-to-right square-and-multiply
-  /// with Montgomery pre-/post-processing exactly as in §4.5 — the same
-  /// flow for every backend and both fields (for GF(2^m) this is field
-  /// exponentiation, e.g. Fermat inversion a^(2^m-2)).
+  /// base^exponent fully reduced: the §4.5 schedule (ExpMode::kAlg3,
+  /// Montgomery pre-/post-processing around Algorithm 3) executed over
+  /// Multiply — the same flow for every backend and both fields (for
+  /// GF(2^m) this is field exponentiation, e.g. Fermat inversion
+  /// a^(2^m-2)).  `stats` gains the schedule's counts and the measured or
+  /// modelled engine_cycles.
   bignum::BigUInt ModExp(const bignum::BigUInt& base,
                          const bignum::BigUInt& exponent,
                          EngineStats* stats = nullptr) const;

@@ -15,148 +15,17 @@ using bignum::BigUInt;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// ModExpStream — one exponentiation unrolled into its MMM dependency chain
-// ---------------------------------------------------------------------------
-
-// Left-to-right square-and-multiply (§4.5, Algorithm 3) as a stream of MMM
-// requests against one MmmEngine: NextOperands() exposes the operands of
-// the next multiplication this job needs, Consume() feeds the product back
-// and advances the state machine.  Every MMM depends on the previous one
-// *of the same job*, so two streams can be zipped issue-for-issue onto the
-// two channels of one array without any cross-job hazard.  The engine
-// supplies the field semantics (GF(p) or GF(2^m)) via MontFactor/Reduce.
-class ModExpStream {
- public:
-  ModExpStream(const MmmEngine& engine, const BigUInt& base,
-               const BigUInt& exponent, EngineStats* stats)
-      : engine_(engine), exponent_(exponent), stats_(stats) {
-    if (exponent_.IsZero()) {
-      result_ = engine_.Reduce(BigUInt{1});
-      phase_ = Phase::kDone;
-      return;
-    }
-    m_ = engine_.Reduce(base);
-    next_i_ = exponent_.BitLength() - 1;
-    phase_ = Phase::kPre;
-  }
-
-  bool Done() const { return phase_ == Phase::kDone; }
-
-  /// Operands of the next MMM; pointers stay valid until Consume().
-  void NextOperands(const BigUInt** x, const BigUInt** y) const {
-    switch (phase_) {
-      case Phase::kPre:
-        *x = &m_;
-        *y = &engine_.MontFactor();
-        return;
-      case Phase::kSquare:
-        *x = &a_;
-        *y = &a_;
-        return;
-      case Phase::kMultiply:
-        *x = &a_;
-        *y = &m_mont_;
-        return;
-      case Phase::kPost:
-        *x = &a_;
-        *y = &one_;
-        return;
-      case Phase::kDone:
-        break;
-    }
-    throw std::logic_error("ModExpStream: no operands after completion");
-  }
-
-  void Consume(BigUInt product) {
-    if (stats_ != nullptr) ++stats_->mmm_invocations;
-    switch (phase_) {
-      case Phase::kPre:
-        m_mont_ = std::move(product);
-        a_ = m_mont_;
-        AdvanceIteration();
-        return;
-      case Phase::kSquare:
-        a_ = std::move(product);
-        ++squarings_;
-        if (stats_ != nullptr) ++stats_->squarings;
-        if (exponent_.Bit(next_i_)) {
-          phase_ = Phase::kMultiply;
-        } else {
-          AdvanceIteration();
-        }
-        return;
-      case Phase::kMultiply:
-        a_ = std::move(product);
-        ++multiplications_;
-        if (stats_ != nullptr) ++stats_->multiplications;
-        AdvanceIteration();
-        return;
-      case Phase::kPost:
-        result_ = engine_.Reduce(std::move(product));
-        if (stats_ != nullptr) {
-          // Accumulate this job's delta (like every other EngineStats
-          // field), not a figure recomputed from the cumulative counters:
-          // callers may reuse one stats struct across jobs.
-          stats_->paper_model_cycles += ExponentiationCycles(
-              engine_.l(), squarings_, multiplications_);
-        }
-        phase_ = Phase::kDone;
-        return;
-      case Phase::kDone:
-        break;
-    }
-    throw std::logic_error("ModExpStream: consume after completion");
-  }
-
-  const BigUInt& Result() const { return result_; }
-
- private:
-  enum class Phase { kPre, kSquare, kMultiply, kPost, kDone };
-
-  // Exponent bit i is handled by the iteration entered when next_i_ == i;
-  // the scan covers bits BitLength()-2 .. 0 (the top bit is the initial A).
-  void AdvanceIteration() {
-    if (next_i_ == 0) {
-      phase_ = Phase::kPost;
-    } else {
-      --next_i_;
-      phase_ = Phase::kSquare;
-    }
-  }
-
-  const MmmEngine& engine_;
-  const BigUInt exponent_;
-  EngineStats* stats_;
-  std::uint64_t squarings_ = 0;        // this job's own operation counts,
-  std::uint64_t multiplications_ = 0;  // independent of the caller's struct
-  const BigUInt one_{1};
-  BigUInt m_;       // base, canonically reduced
-  BigUInt m_mont_;  // base in the Montgomery domain
-  BigUInt a_;       // accumulator
-  BigUInt result_;
-  std::size_t next_i_ = 0;
-  Phase phase_ = Phase::kDone;
-};
-
-/// Runs one stream to completion on its own (single-channel issues only),
-/// charging the engine's per-multiply model per MMM into `stats`.
-BigUInt RunSoloStream(const MmmEngine& engine, const BigUInt& base,
-                      const BigUInt& exponent, EngineStats* stats) {
-  ModExpStream stream(engine, base, exponent, stats);
-  std::uint64_t issues = 0;
-  while (!stream.Done()) {
-    const BigUInt* x = nullptr;
-    const BigUInt* y = nullptr;
-    stream.NextOperands(&x, &y);
-    stream.Consume(engine.Multiply(*x, *y));
-    ++issues;
-  }
-  if (stats != nullptr) {
-    stats->single_issues += issues;
-    stats->engine_cycles += issues * engine.MultiplyCyclesModel();
-  }
-  return stream.Result();
+/// One job on its own (single-channel issues only): the engine's ModExp,
+/// with every MMM charged as a single issue at the engine's per-multiply
+/// model rather than measured, as the paired path charges its issues.
+BigUInt RunSolo(const MmmEngine& engine, const BigUInt& base,
+                const BigUInt& exponent, EngineStats* stats) {
+  EngineStats local;
+  BigUInt result = engine.ModExp(base, exponent, &local);
+  local.single_issues = local.mmm_invocations;
+  local.engine_cycles = local.mmm_invocations * engine.MultiplyCyclesModel();
+  *stats += local;
+  return result;
 }
 
 }  // namespace
@@ -203,9 +72,17 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a, const BigUInt& base_a,
       }
     }
   }
-  PairedExpResult out;
-  ModExpStream stream_a(engine_a, base_a, exp_a, &out.stats_a);
-  ModExpStream stream_b(engine_b, base_b, exp_b, &out.stats_b);
+  // Each job is the §4.5 schedule; every MMM depends on the previous one
+  // of the same job only, so the two step sequences zip issue for issue
+  // onto the two channels with no cross-job hazard.
+  std::vector<bignum::ExpStep> steps_a;
+  std::vector<bignum::ExpStep> steps_b;
+  bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, exp_a, &steps_a);
+  bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, exp_b, &steps_b);
+  bignum::ExpExecutor<BigUInt> run_a(steps_a, engine_a.Reduce(base_a),
+                                     engine_a.MontFactor(), BigUInt{1});
+  bignum::ExpExecutor<BigUInt> run_b(steps_b, engine_b.Reduce(base_b),
+                                     engine_b.MontFactor(), BigUInt{1});
 
   // Issue accounting follows each engine's own per-multiply model (3l+4
   // for the paper's array family), so solo and paired execution of the
@@ -215,48 +92,42 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a, const BigUInt& base_a,
   const std::uint64_t single_cost_b = engine_b.MultiplyCyclesModel();
   const std::uint64_t pair_cost = std::max(single_cost_a, single_cost_b) + 1;
 
-  while (!stream_a.Done() || !stream_b.Done()) {
-    if (!stream_a.Done() && !stream_b.Done()) {
+  PairedExpResult out;
+  const BigUInt zero;
+  while (!run_a.Done() || !run_b.Done()) {
+    if (!run_a.Done() && !run_b.Done()) {
       // Dual-channel issue: one MMM of each job in 3l+5 cycles.
-      const BigUInt *xa = nullptr, *ya = nullptr, *xb = nullptr, *yb = nullptr;
-      stream_a.NextOperands(&xa, &ya);
-      stream_b.NextOperands(&xb, &yb);
-      BigUInt ra, rb;
       if (array != nullptr) {
-        auto pair = array->MultiplyPair(*xa, *ya, *xb, *yb);
-        ra = std::move(pair.a);
-        rb = std::move(pair.b);
+        auto pair = array->MultiplyPair(run_a.X(), run_a.Y(), run_b.X(),
+                                        run_b.Y());
+        run_a.Consume(std::move(pair.a));
+        run_b.Consume(std::move(pair.b));
       } else {
-        ra = engine_a.Multiply(*xa, *ya);
-        rb = engine_b.Multiply(*xb, *yb);
+        run_a.Consume(engine_a.Multiply(run_a.X(), run_a.Y()));
+        run_b.Consume(engine_b.Multiply(run_b.X(), run_b.Y()));
       }
-      stream_a.Consume(std::move(ra));
-      stream_b.Consume(std::move(rb));
       ++out.stats.paired_issues;
       out.stats.engine_cycles += pair_cost;
     } else {
-      // One stream has drained: the leftover issues singly.
-      const bool a_live = !stream_a.Done();
-      ModExpStream& stream = a_live ? stream_a : stream_b;
+      // One job has drained: the leftover issues singly.
+      const bool a_live = !run_a.Done();
+      bignum::ExpExecutor<BigUInt>& run = a_live ? run_a : run_b;
       const MmmEngine& engine = a_live ? engine_a : engine_b;
-      const BigUInt *x = nullptr, *y = nullptr;
-      stream.NextOperands(&x, &y);
-      BigUInt r;
       if (array != nullptr) {
-        const BigUInt zero;
-        auto pair = a_live ? array->MultiplyPair(*x, *y, zero, zero)
-                           : array->MultiplyPair(zero, zero, *x, *y);
-        r = a_live ? std::move(pair.a) : std::move(pair.b);
+        auto pair = a_live ? array->MultiplyPair(run.X(), run.Y(), zero, zero)
+                           : array->MultiplyPair(zero, zero, run.X(), run.Y());
+        run.Consume(a_live ? std::move(pair.a) : std::move(pair.b));
       } else {
-        r = engine.Multiply(*x, *y);
+        run.Consume(engine.Multiply(run.X(), run.Y()));
       }
-      stream.Consume(std::move(r));
       ++out.stats.single_issues;
       out.stats.engine_cycles += a_live ? single_cost_a : single_cost_b;
     }
   }
-  out.a = stream_a.Result();
-  out.b = stream_b.Result();
+  out.a = engine_a.Reduce(run_a.Result());
+  out.b = engine_b.Reduce(run_b.Result());
+  out.stats_a = ScheduleStats(steps_a, engine_a.l());
+  out.stats_b = ScheduleStats(steps_b, engine_b.l());
   return out;
 }
 
@@ -432,9 +303,8 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
         const auto engine = AcquireEngine(
             ResolveEngineName(group[i]->options), group[i]->modulus);
         ExpResult& result = outcome.results[i];
-        result.value =
-            RunSoloStream(*engine, group[i]->base,
-                          EffectiveExponent(*group[i]), &result.stats);
+        result.value = RunSolo(*engine, group[i]->base,
+                               EffectiveExponent(*group[i]), &result.stats);
         PublishGroupStats(result.stats);
       }
     }

@@ -63,21 +63,6 @@ BigUInt HighRadixMultiplier::Multiply(const BigUInt& x,
   return t;
 }
 
-BigUInt HighRadixMultiplier::ModExp(const BigUInt& base,
-                                    const BigUInt& exponent) const {
-  if (exponent.IsZero()) return BigUInt{1} % modulus_;
-  const BigUInt m = base % modulus_;
-  const BigUInt m_mont = Multiply(m, r2_);
-  BigUInt a = m_mont;
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = Multiply(a, a);
-    if (exponent.Bit(i)) a = Multiply(a, m_mont);
-  }
-  BigUInt out = Multiply(a, BigUInt{1});
-  if (out >= modulus_) out -= modulus_;
-  return out;
-}
-
 std::uint64_t HighRadixMultiplier::MultiplyCycles() const {
   const std::uint64_t words =
       (static_cast<std::uint64_t>(l_) + 1 + alpha_ - 1) / alpha_;

@@ -40,10 +40,6 @@ class HighRadixMultiplier {
   bignum::BigUInt Multiply(const bignum::BigUInt& x,
                            const bignum::BigUInt& y) const;
 
-  /// Modular exponentiation through this datapath (for end-to-end tests).
-  bignum::BigUInt ModExp(const bignum::BigUInt& base,
-                         const bignum::BigUInt& exponent) const;
-
   /// Cycle model for the word-serial systolic pipeline: the radix-2
   /// schedule 2s + w + 2 generalised to words (s iterations, w =
   /// ceil((l+1)/alpha) result words), plus load and output cycles.

@@ -1,7 +1,10 @@
 #include "core/interleaved.hpp"
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
+#include "bignum/exp_schedule.hpp"
 #include "bignum/montgomery.hpp"
 #include "core/schedule.hpp"
 
@@ -219,42 +222,31 @@ BigUInt InterleavedExponentiator::ModExp(const BigUInt& base,
     }
   };
 
-  if (exponent.IsZero()) return BigUInt{1} % n;
-  const BigUInt m = base % n;
-  // Domain entry for both streams.
-  const auto pre = circuit_.MultiplyPair(m, reference_.RSquaredModN(),
-                                         BigUInt{1}, reference_.RSquaredModN());
-  charge_pair();
-  BigUInt s = pre.a;  // m in the Montgomery domain
-  BigUInt a = pre.b;  // 1 in the Montgomery domain
-
-  // Right-to-left: per bit, the accumulate (A *= S) and the square
-  // (S = S^2) are independent and run as one interleaved pair.
-  const std::size_t bits = exponent.BitLength();
-  for (std::size_t i = 0; i < bits; ++i) {
-    const bool more_squares = i + 1 < bits;
-    if (exponent.Bit(i)) {
-      if (more_squares) {
-        const auto pair = circuit_.MultiplyPair(a, s, s, s);
-        charge_pair();
-        a = pair.a;
-        s = pair.b;
-      } else {
-        const auto pair = circuit_.MultiplyPair(a, s, BigUInt{0}, BigUInt{0});
-        charge_single();
-        a = pair.a;
-      }
-    } else if (more_squares) {
-      const auto pair = circuit_.MultiplyPair(s, s, BigUInt{0}, BigUInt{0});
+  std::vector<bignum::ExpStep> steps;
+  bignum::BuildExpSchedule(bignum::ExpMode::kRightToLeft, exponent, &steps);
+  bignum::ExpExecutor<BigUInt> run(steps, base % n, reference_.RSquaredModN(),
+                                   BigUInt{1});
+  // Two adjacent steps share one dual-channel issue when the second does
+  // not read the first's product: the two domain entries, and A <- A*S
+  // with S <- S^2 on a set bit below the top one.  Every other step issues
+  // alone on channel A.
+  const BigUInt zero;
+  while (!run.Done()) {
+    const std::span<const bignum::ExpStep> next = run.Remaining();
+    if (next.size() > 1 && next[1].x != next[0].dst &&
+        next[1].y != next[0].dst) {
+      auto pair = circuit_.MultiplyPair(run.X(), run.Y(), run[next[1].x],
+                                        run[next[1].y]);
+      charge_pair();
+      run.Consume(std::move(pair.a));
+      run.Consume(std::move(pair.b));
+    } else {
+      auto pair = circuit_.MultiplyPair(run.X(), run.Y(), zero, zero);
       charge_single();
-      s = pair.a;
+      run.Consume(std::move(pair.a));
     }
   }
-
-  // Domain exit.
-  const auto post = circuit_.MultiplyPair(a, BigUInt{1}, BigUInt{0}, BigUInt{0});
-  charge_single();
-  BigUInt out = post.a;
+  BigUInt out = run.Result();
   if (out >= n) out -= n;
   return out;
 }

@@ -14,9 +14,11 @@
 //
 // The natural client is right-to-left exponentiation, where the square
 // S <- S^2 and the conditional multiply A <- A*S of one iteration are
-// independent: InterleavedExponentiator runs them as an (A, B) pair,
-// cutting exponentiation latency by ~1.5x over the paper's Algorithm 3 on
-// the same array area (quantified in bench_interleaved).
+// independent: InterleavedExponentiator executes the shared
+// ExpMode::kRightToLeft schedule (bignum/exp_schedule.hpp) and issues such
+// adjacent steps as an (A, B) pair, cutting exponentiation latency by
+// ~1.5x over the paper's Algorithm 3 on the same array area (quantified in
+// bench_interleaved).
 #pragma once
 
 #include <cstdint>
@@ -75,8 +77,10 @@ class InterleavedMmmc {
   std::vector<std::uint8_t> n_bits_[2];
 };
 
-/// Right-to-left exponentiator over the dual-channel array: the square
-/// stream runs on one channel while the accumulate stream uses the other.
+/// Right-to-left exponentiator over the dual-channel array: it executes
+/// the ExpMode::kRightToLeft schedule and issues two adjacent steps as one
+/// pair whenever the second does not read the first's product (the two
+/// domain entries; A <- A*S with S <- S^2), every other step singly.
 class InterleavedExponentiator {
  public:
   explicit InterleavedExponentiator(bignum::BigUInt modulus);

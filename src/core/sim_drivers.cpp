@@ -74,7 +74,9 @@ MmmcModExpRunner::~MmmcModExpRunner() {
 }
 
 std::size_t MmmcModExpRunner::MmmCount(const BigUInt& exponent) {
-  return exponent.BitLength() + exponent.PopCount();
+  std::vector<bignum::ExpStep> steps;
+  bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, exponent, &steps);
+  return steps.size();
 }
 
 std::size_t MmmcModExpRunner::Windows(std::size_t requested,
@@ -110,14 +112,13 @@ std::size_t MmmcModExpRunner::Run(std::span<const BigUInt> bases,
   if (exponent.IsZero()) {
     throw std::invalid_argument("MmmcModExpRunner::Run: exponent is zero");
   }
-  // The one §4.5 schedule: pre-computation, a squaring per scanned bit
-  // and a multiply per set bit (left to right), post-processing.
-  steps_.assign(1, Step::kPre);
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    steps_.push_back(Step::kSquare);
-    if (exponent.Bit(i)) steps_.push_back(Step::kMultiply);
+  // The operand buses are l+1 bits wide: a larger base would be truncated.
+  for (const BigUInt& base : bases) {
+    if (base >= modulus_) {
+      throw std::invalid_argument("MmmcModExpRunner::Run: bases must be < N");
+    }
   }
-  steps_.push_back(Step::kPost);
+  bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, exponent, &steps_);
   const std::size_t mmms = steps_.size();
   if (!samples.empty() && samples.size() != mmms * SamplesPerMmm() * n) {
     throw std::invalid_argument(
@@ -213,7 +214,9 @@ void MmmcModExpRunner::RunWindow(std::size_t j) {
   for (std::size_t k = begin; k < end; ++k) {
     LoadOperands(sim, steps_[k], w);
     RunMmm(sim, n, samples_.empty() ? nullptr : samples_.data() + k * spm * n);
-    if (steps_[k] == Step::kPre) w.m = sim.PeekWideLanes(gen_.result, n);
+    if (steps_[k].dst == bignum::ExpSlot::kMont) {
+      w.m = sim.PeekWideLanes(gen_.result, n);
+    }
   }
   if (sink_ != nullptr) (*sink_)(begin * spm, end * spm);
 }
@@ -223,32 +226,39 @@ void MmmcModExpRunner::Predict(Window& w, std::size_t warm_step) const {
   w.m.resize(n);
   w.warm_x.resize(n);
   w.warm_y.resize(n);
+  const std::span<const bignum::ExpStep> before(steps_.data(), warm_step);
+  const bignum::ExpStep& warm = steps_[warm_step];
   for (std::size_t lane = 0; lane < n; ++lane) {
-    const BigUInt& m = w.m[lane] = predictor_->Multiply(bases_[lane], r2_);
-    BigUInt a = m;
-    for (std::size_t k = 1; k < warm_step; ++k) {
-      a = predictor_->Multiply(a, steps_[k] == Step::kSquare ? a : m);
-    }
-    w.warm_y[lane] = steps_[warm_step] == Step::kSquare ? a : m;
-    w.warm_x[lane] = std::move(a);
+    bignum::ExpExecutor<BigUInt> run(before, bases_[lane], r2_, BigUInt{1});
+    run.Run([this](const BigUInt& x, const BigUInt& y) {
+      return predictor_->Multiply(x, y);
+    });
+    w.m[lane] = run[bignum::ExpSlot::kMont];
+    w.warm_x[lane] = run[warm.x];
+    w.warm_y[lane] = run[warm.y];
   }
 }
 
-void MmmcModExpRunner::LoadOperands(rtl::BatchSimulator& sim, Step step,
+void MmmcModExpRunner::LoadOperands(rtl::BatchSimulator& sim,
+                                    bignum::ExpStep step,
                                     const Window& w) const {
-  if (step == Step::kPre) {
+  using bignum::ExpOp;
+  if (step.x == bignum::ExpSlot::kBase) {  // pre-computation Mont(M, R^2)
     sim.SetInputWideLanes(gen_.x_in, bases_);
     DriveConstant(sim, gen_.y_in, r2_, lane_mask_);
     return;
   }
-  // A = the previous MMM's result, moved bus to bus in lane-parallel form.
+  // Every later kAlg3 step reads A (M~ before the first squaring), the
+  // previous MMM's result, moved bus to bus in lane-parallel form.
   for (std::size_t i = 0; i < gen_.x_in.size(); ++i) {
     const std::uint64_t a = sim.Peek(gen_.result[i]) & lane_mask_;
     sim.SetInput(gen_.x_in[i], a);
-    if (step == Step::kSquare) sim.SetInput(gen_.y_in[i], a);
+    if (step.op == ExpOp::kSquare) sim.SetInput(gen_.y_in[i], a);
   }
-  if (step == Step::kMultiply) sim.SetInputWideLanes(gen_.y_in, w.m);
-  if (step == Step::kPost) DriveConstant(sim, gen_.y_in, BigUInt{1}, lane_mask_);
+  if (step.op == ExpOp::kMultiply) sim.SetInputWideLanes(gen_.y_in, w.m);
+  if (step.op == ExpOp::kDomain) {  // post-processing Mont(A, 1)
+    DriveConstant(sim, gen_.y_in, BigUInt{1}, lane_mask_);
+  }
 }
 
 void MmmcModExpRunner::RunMmm(rtl::BatchSimulator& sim, std::size_t lanes,

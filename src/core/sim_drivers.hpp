@@ -10,8 +10,9 @@
 // (tests/testutil_netlist.hpp) derives from them to add gtest-flavoured
 // convenience wrappers.
 //
-// MmmcModExpRunner runs the §4.5 exponentiation on the 64-lane engine
-// and can split one pass across CPUs at multiplication boundaries.  That
+// MmmcModExpRunner runs the §4.5 exponentiation (the shared kAlg3
+// schedule of bignum/exp_schedule.hpp) on the 64-lane engine and can
+// split one pass across CPUs at multiplication boundaries.  That
 // is exact because an MMM does not remember its history: the START edge
 // loads every operand register and clears the array, so the full net
 // state after an MMM and its drain edge is a function of that MMM's
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "bignum/biguint.hpp"
+#include "bignum/exp_schedule.hpp"
 #include "core/netlist_gen.hpp"
 #include "rtl/batch_sim.hpp"
 #include "rtl/simulator.hpp"
@@ -240,14 +242,15 @@ std::size_t AffinityCpuCount();
 /// optionally split into windows that run on their own simulators and
 /// threads.
 ///
-/// The MMM sequence (pre-computation Mont(M, R^2), a squaring per scanned
+/// The MMM sequence is the shared §4.5 schedule (bignum/exp_schedule.hpp,
+/// ExpMode::kAlg3: pre-computation Mont(M, R^2), a squaring per scanned
 /// exponent bit plus a multiply by M~ per set bit, post-processing
-/// Mont(A, 1)) is cut into contiguous ranges, one per window:
+/// Mont(A, 1)), cut into contiguous ranges, one per window:
 ///   * window 0 runs on the persistent simulator, sim();
 ///   * window j > 0 runs on a window simulator over the same compiled
 ///     netlist: it first replays MMM k_j - 1, the one before its range,
 ///     with toggle counting paused, from operands predicted in software
-///     (Alg2Predictor), then runs its range;
+///     (the schedule executed over Alg2Predictor), then runs its range;
 ///   * inside a window every MMM takes its operands from the device's own
 ///     RESULT bus; only the warm-up operands and M~ are predicted.
 /// Before Run() returns it checks, for every boundary: window j-1's last
@@ -283,7 +286,8 @@ class MmmcModExpRunner {
 
   /// Samples one multiplication contributes: 3l+4, START to DONE.
   std::size_t SamplesPerMmm() const { return 3 * gen_.l + 4; }
-  /// MMMs of one exponentiation: bits(e) + popcount(e).
+  /// MMMs of one exponentiation: the length of its kAlg3 schedule,
+  /// bits(e) + popcount(e).
   static std::size_t MmmCount(const bignum::BigUInt& exponent);
   /// Windows Run() uses for `requested` windows and this exponent:
   /// capped so each window holds at least 4 MMMs, 1 when sim() carries
@@ -299,8 +303,9 @@ class MmmcModExpRunner {
                 std::span<std::uint32_t> samples = {});
 
   /// Runs bases[k]^exponent mod N on lane k (1 to 64 bases, each < N;
-  /// exponent nonzero) in Windows(windows, exponent) windows and returns
-  /// that count.  Samples are recorded as in Multiply() (MmmCount *
+  /// exponent nonzero; std::invalid_argument otherwise, before anything is
+  /// driven) in Windows(windows, exponent) windows and returns that
+  /// count.  Samples are recorded as in Multiply() (MmmCount *
   /// SamplesPerMmm per lane), and `sink` is told as each window's samples
   /// complete.
   std::size_t Run(std::span<const bignum::BigUInt> bases,
@@ -309,7 +314,6 @@ class MmmcModExpRunner {
                   const WindowSink& sink = {});
 
  private:
-  enum class Step : std::uint8_t { kPre, kSquare, kMultiply, kPost };
   /// Per-window working storage, reused across calls.
   struct Window {
     std::vector<bignum::BigUInt> m;       ///< M~ per lane
@@ -324,7 +328,7 @@ class MmmcModExpRunner {
   /// Predicts M~ and the operands of MMM `warm_step` for every lane.
   void Predict(Window& w, std::size_t warm_step) const;
   /// Drives the operands of `step`, reading A from the RESULT bus.
-  void LoadOperands(rtl::BatchSimulator& sim, Step step,
+  void LoadOperands(rtl::BatchSimulator& sim, bignum::ExpStep step,
                     const Window& w) const;
   /// START, 3l+3 more edges to DONE, and the drain edge; records the
   /// first 3l+4 edges' toggle counts of lanes 0..lanes-1 to `out`
@@ -345,7 +349,7 @@ class MmmcModExpRunner {
   std::vector<Window> windows_;
 
   /// The call in flight: written by Run() before it wakes the workers.
-  std::vector<Step> steps_;
+  std::vector<bignum::ExpStep> steps_;
   std::vector<std::size_t> bounds_;  ///< window j runs [bounds_[j], bounds_[j+1])
   std::span<const bignum::BigUInt> bases_;
   std::span<std::uint32_t> samples_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bignum/biguint.hpp"
+#include "bignum/exp_schedule.hpp"
 #include "bignum/prime.hpp"
 #include "bignum/random.hpp"
 #include "core/exponentiator.hpp"
@@ -110,6 +111,23 @@ INSTANTIATE_TEST_SUITE_P(Lengths, Eq10Bounds,
                          ::testing::Values(16, 32, 64, 128, 256));
 
 // Fermat/Euler sanity through the full hardware-modelled flow.
+// Every MMM of a bit-serial ModExp is charged the modelled 3l+4, and the
+// MMMs are exactly the steps of the exponent's §4.5 schedule.
+TEST(ExpAlgorithms, ModeledCyclesChargePerMmm) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(64);
+  Exponentiator exp(n);
+  std::vector<bignum::ExpStep> steps;
+  for (const BigUInt& e : {BigUInt{0}, BigUInt{1}, BigUInt{6},
+                           rng.BalancedExactBits(64), rng.ExactBits(96)}) {
+    EngineStats stats;
+    exp.ModExp(rng.Below(n), e, &stats);
+    bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, e, &steps);
+    EXPECT_EQ(stats.mmm_invocations, steps.size());
+    EXPECT_EQ(stats.engine_cycles, steps.size() * MultiplyCycles(64));
+  }
+}
+
 TEST(Exponentiator, FermatLittleTheorem) {
   const BigUInt p{65537};  // prime
   Exponentiator exp(p);

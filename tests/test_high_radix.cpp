@@ -5,6 +5,7 @@
 
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
 #include "core/high_radix.hpp"
 #include "core/schedule.hpp"
 #include "testutil.hpp"
@@ -95,11 +96,11 @@ TEST(HighRadix, ModExpMatchesReference) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(128);
   for (const std::size_t alpha : {4u, 8u, 16u}) {
-    HighRadixMultiplier mul(n, alpha);
+    const auto engine = MakeEngine("high-radix", n, {.alpha = alpha});
     for (int trial = 0; trial < 3; ++trial) {
       const BigUInt base = rng.Below(n);
       const BigUInt e = rng.ExactBits(64);
-      EXPECT_EQ(mul.ModExp(base, e), BigUInt::ModExp(base, e, n))
+      EXPECT_EQ(engine->ModExp(base, e), BigUInt::ModExp(base, e, n))
           << "alpha=" << alpha;
     }
   }

@@ -209,5 +209,26 @@ TEST(ModExpRunner, RejectsBadArguments) {
                std::invalid_argument);
 }
 
+// A base >= N does not fit the operand window: one window would run it
+// truncated to the (l+1)-bit bus, several would fail their boundary
+// check.  Both reject it before anything is driven.
+TEST(ModExpRunner, RejectsBasesNotBelowModulus) {
+  const BigUInt n{40961};
+  const BigUInt e{0xB5F3};
+  Rig rig(n, 16);
+  ASSERT_EQ(rig.runner().Windows(4, e), 4u);
+  for (const BigUInt& bad : {BigUInt::PowerOfTwo(17) + BigUInt{12345}, n}) {
+    const std::vector<BigUInt> bases = {BigUInt{3}, bad};
+    for (const std::size_t windows : {1u, 4u}) {
+      EXPECT_THROW(rig.runner().Run(bases, e, windows), std::invalid_argument)
+          << "base " << bad.ToHex() << ", " << windows << " window(s)";
+    }
+  }
+  const std::vector<BigUInt> reduced = {
+      (BigUInt::PowerOfTwo(17) + BigUInt{12345}) % n};
+  const Rig::Output out = rig.Run(reduced, e, 1);
+  EXPECT_EQ(out.results[0] % n, BigUInt::ModExp(reduced[0], e, n));
+}
+
 }  // namespace
 }  // namespace mont::core

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "bignum/biguint.hpp"
+#include "bignum/exp_schedule.hpp"
+#include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
 
 namespace mont::test {
@@ -121,6 +123,25 @@ inline ::testing::AssertionResult IsReducedMontProduct(
            << y.ToHex() << ", N = 0x" << n.ToHex();
   }
   return ::testing::AssertionSuccess();
+}
+
+/// base^exponent mod N: the `mode` schedule executed over Algorithm 2
+/// (BitSerialMontgomery::MultiplyAlg2), reduced below N at the end.
+inline bignum::BigUInt Alg2ModExp(const bignum::BitSerialMontgomery& ctx,
+                                  const bignum::BigUInt& base,
+                                  const bignum::BigUInt& exponent,
+                                  bignum::ExpMode mode) {
+  using bignum::BigUInt;
+  std::vector<bignum::ExpStep> steps;
+  bignum::BuildExpSchedule(mode, exponent, &steps);
+  bignum::ExpExecutor<BigUInt> run(steps, base % ctx.Modulus(),
+                                   ctx.RSquaredModN(), BigUInt{1});
+  run.Run([&ctx](const BigUInt& x, const BigUInt& y) {
+    return ctx.MultiplyAlg2(x, y);
+  });
+  BigUInt out = run.Result();
+  if (out >= ctx.Modulus()) out -= ctx.Modulus();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
