@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   mont::core::EngineStats stats;
   const mont::bignum::BigUInt decrypted =
-      RsaPrivateOnHardwareModel(key, ciphertext, &stats);
+      RsaPrivate(key, ciphertext, "bit-serial", &stats);
   std::printf("decrypted  = 0x%s  -> round trip %s\n",
               decrypted.ToHex().c_str(),
               decrypted == message ? "ok" : "FAILED");

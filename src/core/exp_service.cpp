@@ -548,6 +548,9 @@ void Dispatcher::Resolve(Group* group) {
   const ExecutionCore::Outcome& outcome = group->outcome;
   if (outcome.error != nullptr) {
     for (Job& job : group->jobs) job.promise.set_exception(outcome.error);
+    ExpResult failed;
+    failed.error = outcome.error;
+    for (const Job& job : group->jobs) RunCallback(job, failed);
   } else {
     for (std::size_t i = 0; i < group->jobs.size(); ++i) {
       group->jobs[i].promise.set_value(outcome.results[i]);

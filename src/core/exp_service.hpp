@@ -152,6 +152,9 @@ struct ExpResult {
   /// Held for a partner that never came and released solo by the
   /// age-based unpair timeout (v2).
   bool unpaired_by_timeout = false;
+  /// The job's engine failed (the exception its future carries): `value`
+  /// and `stats` are empty.  Seen only by callbacks — the future throws.
+  std::exception_ptr error;
   /// This job's operation counts plus the issue accounting of the issue
   /// group it ran in (shared by both jobs of a pair; a solo job's MMMs
   /// all count as single issues): engine_cycles is the group's array
@@ -404,7 +407,8 @@ class Dispatcher {
   /// [group->start, now] and job.cancelled events at `now`.
   void Publish(Group* group, std::uint64_t now);
   /// Resolves every promise of the group (expired ones with the typed
-  /// cancelled result, never an exception), then runs the callbacks.
+  /// cancelled result, failed ones with the engine's exception), then
+  /// runs every callback once (a failed job's with ExpResult::error).
   /// Callback exceptions are contained.  Thread-safe.
   static void Resolve(Group* group);
   /// Counts the group's live jobs as completed.
@@ -469,11 +473,13 @@ class ExpService {
   ExpService(const ExpService&) = delete;
   ExpService& operator=(const ExpService&) = delete;
 
-  /// Enqueues one job; the optional callback runs on the worker thread
-  /// after every future of the job's issue group is fulfilled, and any
-  /// exception it throws is contained (it cannot withhold or poison a
-  /// future).  Throws std::invalid_argument for an invalid modulus (GF(p):
-  /// even or <= 1; GF(2^m): deg(f) < 2 or f(0) != 1).
+  /// Enqueues one job; the optional callback runs exactly once on the
+  /// worker thread after every future of the job's issue group is
+  /// fulfilled — also when the job fails (ExpResult::error set, the
+  /// future throwing it) or is deadline-cancelled — and any exception it
+  /// throws is contained (it cannot withhold or poison a future).
+  /// Throws std::invalid_argument for an invalid modulus (GF(p): even or
+  /// <= 1; GF(2^m): deg(f) < 2 or f(0) != 1).
   std::future<Result> Submit(bignum::BigUInt modulus, bignum::BigUInt base,
                              bignum::BigUInt exponent, Callback callback = {});
 

@@ -1,6 +1,8 @@
 #include "crypto/rsa.hpp"
 
+#include <array>
 #include <atomic>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -47,58 +49,12 @@ BigUInt RsaPublic(const RsaKeyPair& key, const BigUInt& m,
 }
 
 BigUInt RsaPrivate(const RsaKeyPair& key, const BigUInt& c,
-                   std::string_view engine) {
+                   std::string_view engine, core::EngineStats* stats) {
   if (c >= key.n) throw std::invalid_argument("RsaPrivate: input >= modulus");
-  return core::MakeEngine(engine, key.n)->ModExp(c, key.d);
+  return core::MakeEngine(engine, key.n)->ModExp(c, key.d, stats);
 }
 
 namespace {
-
-// A CRT key assembled by hand (rather than by GenerateRsaKey) can carry
-// p == q or p*q != n; Garner recombination then returns a well-formed
-// number that is simply the wrong plaintext.  Reject loudly instead.
-void ValidateCrtKey(const RsaKeyPair& key, const char* who) {
-  if (key.p == key.q) {
-    throw std::invalid_argument(std::string(who) +
-                                ": p == q (not a valid CRT key)");
-  }
-  if (key.p * key.q != key.n) {
-    throw std::invalid_argument(std::string(who) + ": p*q != n");
-  }
-}
-
-// Garner recombination: m = mq + q * (q^-1 (mp - mq) mod p).  q_inv is a
-// pure function of the key — callers compute it once (per batch, for
-// RsaSignBatch) rather than per message.
-BigUInt CrtRecombine(const RsaKeyPair& key, const BigUInt& q_inv,
-                     const BigUInt& mp, const BigUInt& mq) {
-  BigUInt diff = mp % key.p;
-  const BigUInt mq_mod_p = mq % key.p;
-  if (diff < mq_mod_p) diff += key.p;
-  diff -= mq_mod_p;
-  const BigUInt h = (q_inv * diff) % key.p;
-  return mq + key.q * h;
-}
-
-// Bellcore/Lenstra fault hygiene: a single fault in one CRT half makes
-// gcd(sig^e - c, n) a prime factor of n, so a CRT signature must never
-// leave the device unverified.  The check is one cheap public
-// exponentiation (e is small); `verify_engine` is a mod-n backend —
-// batch callers hoist one, single-shot callers build a word-mont.
-void VerifyCrtResult(const core::MmmEngine& verify_engine,
-                     const RsaKeyPair& key, const BigUInt& input,
-                     const BigUInt& sig, const char* who) {
-  if (verify_engine.ModExp(sig, key.e) != input) {
-    throw std::runtime_error(
-        std::string(who) +
-        ": CRT fault check failed (sig^e mod n != input); result withheld");
-  }
-}
-
-void VerifyCrtResult(const RsaKeyPair& key, const BigUInt& input,
-                     const BigUInt& sig, const char* who) {
-  VerifyCrtResult(*core::MakeEngine("word-mont", key.n), key, input, sig, who);
-}
 
 // d + k*order for a fresh k of `bits` bits (k's top bit is forced, so the
 // exponent really is randomized); bits == 0 returns d unchanged.
@@ -108,16 +64,50 @@ BigUInt BlindExponent(const BigUInt& d, const BigUInt& order,
   return d + rng.ExactBits(bits) * order;
 }
 
-// The shared CRT core (half exponentiations + Garner recombination) —
-// one copy serves the plain and blinded paths, so fault-check or
-// recombination fixes cannot diverge between them.  Callers validate the
-// key, choose the half exponents, and verify the released signature.
-BigUInt CrtExponentiate(const RsaKeyPair& key, const BigUInt& input,
-                        const BigUInt& dp, const BigUInt& dq,
-                        std::string_view engine) {
-  const BigUInt mp = core::MakeEngine(engine, key.p)->ModExp(input % key.p, dp);
-  const BigUInt mq = core::MakeEngine(engine, key.q)->ModExp(input % key.q, dq);
-  return CrtRecombine(key, BigUInt::ModInverse(key.q % key.p, key.p), mp, mq);
+// The throwing CRT entry points never release a signature the Bellcore
+// check rejected.
+BigUInt Released(std::optional<BigUInt> sig, const char* who) {
+  if (!sig) {
+    throw std::runtime_error(
+        std::string(who) +
+        ": CRT fault check failed (sig^e mod n != input); result withheld");
+  }
+  return std::move(*sig);
+}
+
+std::uint64_t TraceNow(const core::Clock* clock) {
+  return clock != nullptr ? clock->Now() : obs::Tracer::NowTicks();
+}
+
+// The in-line CRT halves: input^ep mod p and input^eq mod q on `engine`,
+// paired or solo as RsaPrivateCrt documents.
+std::pair<BigUInt, BigUInt> RunCrtHalves(const CrtKey& crt,
+                                         const BigUInt& input,
+                                         const BigUInt& ep, const BigUInt& eq,
+                                         std::string_view engine,
+                                         core::EngineStats* stats = nullptr) {
+  const RsaKeyPair& key = crt.key();
+  const auto engine_p = core::MakeEngine(engine, key.p);
+  const auto engine_q = core::MakeEngine(engine, key.q);
+  if (engine_p->l() == engine_q->l() && engine_p->Caps().pairable_streams) {
+    // The two half-exponentiations share the array: p on channel A, q on
+    // channel B of one dual-modulus interleaved multiplier.
+    core::PairedExpResult paired = core::PairedModExp(
+        *engine_p, input % key.p, ep, *engine_q, input % key.q, eq);
+    if (stats != nullptr) *stats = paired.stats;
+    return {std::move(paired.a), std::move(paired.b)};
+  }
+  // Unequal prime lengths cannot share cells, and a backend without
+  // pairable streams cannot pair at all: issue sequentially.
+  core::EngineStats stats_p, stats_q;
+  BigUInt mp = engine_p->ModExp(input % key.p, ep, &stats_p);
+  BigUInt mq = engine_q->ModExp(input % key.q, eq, &stats_q);
+  if (stats != nullptr) {
+    *stats = {};
+    stats->single_issues = stats_p.mmm_invocations + stats_q.mmm_invocations;
+    stats->engine_cycles = stats_p.engine_cycles + stats_q.engine_cycles;
+  }
+  return {std::move(mp), std::move(mq)};
 }
 
 // The base-blinding step itself: c -> c * r^e mod n.
@@ -191,7 +181,7 @@ BigUInt RsaPrivateCrtBlinded(const RsaKeyPair& key, const BigUInt& c,
   if (c >= key.n) {
     throw std::invalid_argument("RsaPrivateCrtBlinded: input >= modulus");
   }
-  ValidateCrtKey(key, "RsaPrivateCrtBlinded");
+  const CrtKey crt(key);
   BigUInt input = c;
   RsaBlindingUnit unit;
   if (options.blind_base) {
@@ -201,66 +191,30 @@ BigUInt RsaPrivateCrtBlinded(const RsaKeyPair& key, const BigUInt& c,
     input = BlindBaseWith(input, key.e, key.n,
                           *core::MakeEngine(engine, key.n), unit);
   }
-  const BigUInt p1 = key.p - BigUInt{1};
-  const BigUInt q1 = key.q - BigUInt{1};
-  BigUInt sig = CrtExponentiate(
-      key, input, BlindExponent(key.d % p1, p1, options.exponent_blind_bits, rng),
-      BlindExponent(key.d % q1, q1, options.exponent_blind_bits, rng), engine);
-  if (options.blind_base) sig = (sig * unit.r_inv) % key.n;
-  // Fault hygiene checks the released (unblinded) signature against the
-  // original input — a fault anywhere in the blinded pipeline is caught.
-  VerifyCrtResult(key, c, sig, "RsaPrivateCrtBlinded");
-  return sig;
+  auto [mp, mq] = RunCrtHalves(
+      crt, input,
+      BlindExponent(crt.dp(), key.p - BigUInt{1}, options.exponent_blind_bits,
+                    rng),
+      BlindExponent(crt.dq(), key.q - BigUInt{1}, options.exponent_blind_bits,
+                    rng),
+      engine);
+  if (options.blind_base) {
+    // Unblinding each half by r^-1 equals unblinding the recombined
+    // signature (CRT uniqueness), and leaves the gate to check the
+    // released value against the *original* input.
+    mp = (mp * unit.r_inv) % key.p;
+    mq = (mq * unit.r_inv) % key.q;
+  }
+  return Released(crt.Recombine(c, mp, mq), "RsaPrivateCrtBlinded");
 }
 
 BigUInt RsaPrivateCrt(const RsaKeyPair& key, const BigUInt& c,
-                      std::string_view engine) {
+                      std::string_view engine, core::EngineStats* stats) {
   if (c >= key.n) throw std::invalid_argument("RsaPrivateCrt: input >= modulus");
-  ValidateCrtKey(key, "RsaPrivateCrt");
-  const BigUInt sig = CrtExponentiate(key, c, key.d % (key.p - BigUInt{1}),
-                                      key.d % (key.q - BigUInt{1}), engine);
-  VerifyCrtResult(key, c, sig, "RsaPrivateCrt");
-  return sig;
-}
-
-BigUInt RsaPrivateCrtPaired(const RsaKeyPair& key, const BigUInt& c,
-                            core::EngineStats* stats,
-                            std::string_view engine) {
-  if (c >= key.n) {
-    throw std::invalid_argument("RsaPrivateCrtPaired: input >= modulus");
-  }
-  ValidateCrtKey(key, "RsaPrivateCrtPaired");
-  const BigUInt dp = key.d % (key.p - BigUInt{1});
-  const BigUInt dq = key.d % (key.q - BigUInt{1});
-  const auto engine_p = core::MakeEngine(engine, key.p);
-  const auto engine_q = core::MakeEngine(engine, key.q);
-  BigUInt mp, mq;
-  if (engine_p->l() == engine_q->l() && engine_p->Caps().pairable_streams) {
-    // The two half-exponentiations share the array: p on channel A, q on
-    // channel B of one dual-modulus interleaved multiplier.  (A backend
-    // without pairable streams falls back to sequential issue below, like
-    // unequal prime lengths.)
-    core::PairedExpResult paired = core::PairedModExp(
-        *engine_p, c % key.p, dp, *engine_q, c % key.q, dq);
-    mp = std::move(paired.a);
-    mq = std::move(paired.b);
-    if (stats != nullptr) *stats = paired.stats;
-  } else {
-    // Unequal prime lengths cannot share cells; issue sequentially.
-    core::EngineStats stats_p, stats_q;
-    mp = engine_p->ModExp(c % key.p, dp, &stats_p);
-    mq = engine_q->ModExp(c % key.q, dq, &stats_q);
-    if (stats != nullptr) {
-      *stats = {};
-      stats->single_issues =
-          stats_p.mmm_invocations + stats_q.mmm_invocations;
-      stats->engine_cycles = stats_p.engine_cycles + stats_q.engine_cycles;
-    }
-  }
-  const BigUInt sig =
-      CrtRecombine(key, BigUInt::ModInverse(key.q % key.p, key.p), mp, mq);
-  VerifyCrtResult(key, c, sig, "RsaPrivateCrtPaired");
-  return sig;
+  const CrtKey crt(key);
+  const auto [mp, mq] =
+      RunCrtHalves(crt, c, crt.dp(), crt.dq(), engine, stats);
+  return Released(crt.Recombine(c, mp, mq), "RsaPrivateCrt");
 }
 
 std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
@@ -273,7 +227,9 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
     throw std::invalid_argument(
         "RsaSignBatch: the service must run a GF(p) engine");
   }
-  ValidateCrtKey(key, "RsaSignBatch");
+  // Shared with every continuation, so halves still in flight when a
+  // Submit throws mid-batch never touch this frame.
+  const auto crt = std::make_shared<const CrtKey>(key);
   // Fail fast before any pair is queued: a bad message mid-span must not
   // leave earlier jobs burning worker time for futures nobody will read.
   for (const BigUInt& message : messages) {
@@ -281,108 +237,42 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
       throw std::invalid_argument("RsaSignBatch: message >= modulus");
     }
   }
-  const BigUInt dp = key.d % (key.p - BigUInt{1});
-  const BigUInt dq = key.d % (key.q - BigUInt{1});
-
-  // When the service carries a tracer, the whole batch gets an rsa.batch
-  // span and each message's recombination an rsa.recombine instant; the
-  // half-jobs take message-index trace ids so their job.run spans
-  // correlate across the p/q halves.
   obs::Tracer* const tracer = service.options().tracer;
+  const core::Clock* const clock = service.options().clock;
   const bool tracing = tracer != nullptr && tracer->enabled();
-  const std::uint64_t batch_start = tracing ? obs::Tracer::NowTicks() : 0;
+  const std::uint64_t batch_start = tracing ? TraceNow(clock) : 0;
 
-  // Pipelined CRT: the p- and q-halves go in as *independent* jobs, so
-  // each half completes on its own (the scheduler pairs equal-length
-  // halves opportunistically — same message or across messages) and the
-  // second-arriving half posts Garner recombination + the
-  // Bellcore/Lenstra fault check to the service's continuation thread.
-  // No worker array ever stalls on recombination, and a slow q-half
-  // can't block the next message's p-half from issuing.
-  //
-  // Everything a callback/continuation touches is owned by shared state
-  // (no references into this frame): if a Submit throws mid-batch, the
-  // in-flight halves of earlier messages still complete safely.
-  struct BatchContext {
-    RsaKeyPair key;
-    BigUInt q_inv;
-    std::shared_ptr<const core::MmmEngine> verify_engine;
-  };
-  struct MessageState {
-    BigUInt message;
-    BigUInt mp, mq;
-    std::atomic<int> remaining{2};
-    std::promise<BigUInt> signature;
-  };
-  auto context = std::make_shared<BatchContext>();
-  context->key = key;
-  context->q_inv = BigUInt::ModInverse(key.q % key.p, key.p);
-  context->verify_engine = core::MakeEngine("word-mont", key.n);
-
-  std::vector<std::pair<std::future<core::ExpService::Result>,
-                        std::future<core::ExpService::Result>>>
-      halves;
   std::vector<std::future<BigUInt>> recombined;
-  halves.reserve(messages.size());
   recombined.reserve(messages.size());
   for (std::size_t index = 0; index < messages.size(); ++index) {
-    const BigUInt& message = messages[index];
-    auto state = std::make_shared<MessageState>();
-    state->message = message;
-    recombined.push_back(state->signature.get_future());
-    const std::uint64_t trace_id = static_cast<std::uint64_t>(index) + 1;
-    // Whichever half lands second owns the continuation handoff.  The
-    // acq_rel decrement makes both halves' writes visible to it (and,
-    // through the continuation queue, to the recombining thread).
-    const auto finish_half = [&service, context, state, tracer, trace_id] {
-      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-        return;
-      }
-      service.Post([context, state, tracer, trace_id] {
-        try {
-          BigUInt sig = CrtRecombine(context->key, context->q_inv, state->mp,
-                                     state->mq);
-          VerifyCrtResult(*context->verify_engine, context->key,
-                          state->message, sig, "RsaSignBatch");
-          if (tracer != nullptr && tracer->enabled()) {
-            tracer->Instant("rsa.recombine", trace_id, 0,
-                            obs::Tracer::NowTicks());
-          }
-          state->signature.set_value(std::move(sig));
-        } catch (...) {
-          state->signature.set_exception(std::current_exception());
-        }
-      });
-    };
+    auto signature = std::make_shared<std::promise<BigUInt>>();
+    recombined.push_back(signature->get_future());
+    // Message-index trace ids correlate each message's job.run spans
+    // with its crt.* events.
     core::ExpJobOptions job_options;
-    job_options.trace_id = trace_id;
-    auto p_half = service.Submit(
-        key.p, message % key.p, dp, job_options,
-        [state, finish_half](const core::ExpService::Result& result) {
-          state->mp = result.value;
-          finish_half();
+    job_options.trace_id = static_cast<std::uint64_t>(index) + 1;
+    const CrtTrace trace{tracer, clock, job_options.trace_id, 0};
+    SubmitCrtHalves(
+        service, *crt, messages[index], job_options,
+        [crt, signature, message = messages[index], trace](CrtHalves& halves) {
+          try {
+            if (halves.error != nullptr) {
+              std::rethrow_exception(halves.error);
+            }
+            signature->set_value(Released(
+                crt->Recombine(message, halves.mp, halves.mq, trace),
+                "RsaSignBatch"));
+          } catch (...) {
+            signature->set_exception(std::current_exception());
+          }
         });
-    auto q_half = service.Submit(
-        key.q, message % key.q, dq, job_options,
-        [state, finish_half](const core::ExpService::Result& result) {
-          state->mq = result.value;
-          finish_half();
-        });
-    halves.emplace_back(std::move(p_half), std::move(q_half));
-  }
-  // Half futures resolve unconditionally (value or exception), so they
-  // are waited first — a failed half means its callback never ran and
-  // the recombination future would never materialise.
-  for (auto& pair : halves) {
-    pair.first.get();
-    pair.second.get();
   }
   std::vector<BigUInt> signatures;
   signatures.reserve(messages.size());
   for (auto& future : recombined) signatures.push_back(future.get());
   if (tracing) {
     tracer->Complete(
-        "rsa.batch", 0, 0, batch_start, obs::Tracer::NowTicks(),
+        "rsa.batch", 0, 0, batch_start, TraceNow(clock),
         {{"messages", static_cast<std::uint64_t>(messages.size())}});
   }
   return signatures;
@@ -390,7 +280,12 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
 
 BigUInt RsaCrtRecombine(const RsaKeyPair& key, const BigUInt& q_inv,
                         const BigUInt& mp, const BigUInt& mq) {
-  return CrtRecombine(key, q_inv, mp, mq);
+  BigUInt diff = mp % key.p;
+  const BigUInt mq_mod_p = mq % key.p;
+  if (diff < mq_mod_p) diff += key.p;
+  diff -= mq_mod_p;
+  const BigUInt h = (q_inv * diff) % key.p;
+  return mq + key.q * h;
 }
 
 bool RsaCrtResultOk(const core::MmmEngine& verify_engine,
@@ -399,13 +294,81 @@ bool RsaCrtResultOk(const core::MmmEngine& verify_engine,
   return verify_engine.ModExp(sig, key.e) == input;
 }
 
-BigUInt RsaPrivateOnHardwareModel(const RsaKeyPair& key, const BigUInt& c,
-                                  core::EngineStats* stats,
-                                  std::string_view engine) {
-  if (c >= key.n) {
-    throw std::invalid_argument("RsaPrivateOnHardwareModel: input >= modulus");
+// ---------------------------------------------------------------------------
+// The CRT core
+// ---------------------------------------------------------------------------
+
+CrtKey::CrtKey(const RsaKeyPair& key) : key_(key) {
+  if (key.p == key.q) {
+    throw std::invalid_argument("CrtKey: p == q (not a valid CRT key)");
   }
-  return core::MakeEngine(engine, key.n)->ModExp(c, key.d, stats);
+  if (key.p * key.q != key.n) {
+    throw std::invalid_argument("CrtKey: p*q != n");
+  }
+  dp_ = key.d % (key.p - BigUInt{1});
+  dq_ = key.d % (key.q - BigUInt{1});
+  q_inv_ = BigUInt::ModInverse(key.q % key.p, key.p);
+  verify_engine_ = core::MakeEngine("word-mont", key.n);
+}
+
+std::optional<BigUInt> CrtKey::Recombine(const BigUInt& input,
+                                         const BigUInt& mp, const BigUInt& mq,
+                                         const CrtTrace& trace) const {
+  obs::Tracer* const tracer = trace.tracer;
+  const bool tracing = tracer != nullptr && tracer->enabled();
+  const std::uint64_t start = tracing ? TraceNow(trace.clock) : 0;
+  BigUInt sig = RsaCrtRecombine(key_, q_inv_, mp, mq);
+  const bool bellcore_ok = RsaCrtResultOk(*verify_engine_, key_, input, sig);
+  if (tracing) {
+    tracer->Complete("crt.recombine", trace.id, 0, start,
+                     TraceNow(trace.clock),
+                     {{"bellcore_ok", bellcore_ok ? std::uint64_t{1}
+                                                  : std::uint64_t{0}}});
+    if (!bellcore_ok) {
+      tracer->Instant("bellcore.fault", trace.id, 0, TraceNow(trace.clock),
+                      {{"attempt", trace.attempt}});
+    }
+  }
+  if (!bellcore_ok) return std::nullopt;
+  return sig;
+}
+
+void SubmitCrtHalves(core::ExpService& service, const CrtKey& key,
+                     const BigUInt& input, const core::ExpJobOptions& options,
+                     std::function<void(CrtHalves&)> done) {
+  struct Join {
+    std::array<core::ExpResult, 2> halves;  // p, q: one writer each
+    std::atomic<int> remaining{2};
+    std::function<void(CrtHalves&)> done;
+  };
+  auto join = std::make_shared<Join>();
+  join->done = std::move(done);
+  const auto on_half = [&service, &join, &options](std::size_t half) {
+    return [&service, join, trace_id = options.trace_id,
+            half](const core::ExpResult& result) {
+      join->halves[half] = result;
+      // acq_rel: the half that lands second sees the first half's write
+      // before it posts the join.
+      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        return;
+      }
+      obs::Tracer* const tracer = service.options().tracer;
+      if (tracer != nullptr && tracer->enabled()) {
+        tracer->Instant("crt.join", trace_id, 0,
+                        TraceNow(service.options().clock));
+      }
+      service.Post([join] {
+        auto& [p, q] = join->halves;
+        CrtHalves halves{std::move(p.value), std::move(q.value),
+                         p.cancelled || q.cancelled,
+                         p.error != nullptr ? p.error : q.error};
+        join->done(halves);
+      });
+    };
+  };
+  const RsaKeyPair& rsa = key.key();
+  service.Submit(rsa.p, input % rsa.p, key.dp(), options, on_half(0));
+  service.Submit(rsa.q, input % rsa.q, key.dq(), options, on_half(1));
 }
 
 }  // namespace mont::crypto

@@ -7,13 +7,14 @@
 //
 // The CRT private-key path maps onto the dual-channel array: its two
 // half-size exponentiations are independent and (for keys from
-// GenerateRsaKey) share a bit length, so RsaPrivateCrtPaired runs them as
-// one co-scheduled pair — two MMMs per 3l+5 cycles — and RsaSignBatch
-// drives a whole message stream through the async ExpService the same way.
-// Every CRT path verifies sig^e mod n against the input before releasing
-// a result (Bellcore/Lenstra fault hygiene): a fault in either
-// half-exponentiation would otherwise leak a factorisation of n through
-// the broken signature.
+// GenerateRsaKey) share a bit length, so they run as one co-scheduled
+// pair (two MMMs per 3l+5 cycles).  Every CRT entry point is a short
+// composition of one core (the end of this header): CrtKey prepares a key
+// once, the halves run in-line (RsaPrivateCrt*) or as ExpService jobs
+// (SubmitCrtHalves: RsaSignBatch, the signing service), and
+// CrtKey::Recombine is the one Garner step, gated by the Bellcore/Lenstra
+// check sig^e mod n == input — a fault in either half would otherwise
+// leak a factorisation of n through the broken signature.
 //
 // The blinded private-key paths (RsaBlindingOptions) are the sca lab's
 // countermeasure: base blinding by r^e and/or exponent randomization by
@@ -22,15 +23,20 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bignum/biguint.hpp"
 #include "bignum/random.hpp"
 #include "core/engine.hpp"
 #include "core/exp_service.hpp"
+#include "obs/trace.hpp"
 
 namespace mont::crypto {
 
@@ -52,9 +58,11 @@ RsaKeyPair GenerateRsaKey(std::size_t modulus_bits, bignum::RandomBigUInt& rng);
 bignum::BigUInt RsaPublic(const RsaKeyPair& key, const bignum::BigUInt& m,
                           std::string_view engine = "word-mont");
 
-/// c^d mod n, straightforward private-key operation.
+/// c^d mod n, straightforward private-key operation; `stats` (optional)
+/// receives the exponentiation's counts and cycles on the named backend.
 bignum::BigUInt RsaPrivate(const RsaKeyPair& key, const bignum::BigUInt& c,
-                           std::string_view engine = "word-mont");
+                           std::string_view engine = "word-mont",
+                           core::EngineStats* stats = nullptr);
 
 /// Side-channel blinding for the private-key paths (the countermeasure
 /// the sca lab's CPA engine validates: blinded executions degrade the
@@ -117,61 +125,99 @@ bignum::BigUInt RsaPrivateCrtBlinded(const RsaKeyPair& key,
                                      const RsaBlindingOptions& options = {},
                                      std::string_view engine = "word-mont");
 
-/// c^d mod n using the CRT (two half-size exponentiations, ~4x faster).
+/// c^d mod n using the CRT (two half-size exponentiations, ~4x faster):
+/// one PairedModExp pair when the backend has pairable_streams and p, q
+/// share a bit length, two solo ModExp calls otherwise.  `stats` gets the
+/// pair's stats, or for the solo calls their MMMs as single issues and
+/// their summed cycles.
 /// Throws std::invalid_argument for malformed CRT keys (p == q, or
-/// p*q != n) instead of silently recombining garbage, and verifies the
-/// result against the public exponent before release (std::runtime_error
-/// on a detected fault).
+/// p*q != n) and std::runtime_error when the Bellcore check fails.
 bignum::BigUInt RsaPrivateCrt(const RsaKeyPair& key, const bignum::BigUInt& c,
-                              std::string_view engine = "word-mont");
-
-/// CRT private-key operation with the two half-size exponentiations
-/// co-scheduled onto one dual-channel array (core::PairedModExp): the p-
-/// and q-streams occupy the two channels, so each pair of MMMs costs 3l+5
-/// cycles instead of 6l+8.  Requires p and q of equal bit length (always
-/// true for GenerateRsaKey output); falls back to sequential issue
-/// otherwise.  `stats` reports the pair's issue counts and array cycles.
-/// Before returning, the result is verified against the public exponent
-/// (sig^e mod n == c); std::runtime_error signals a detected fault.
-bignum::BigUInt RsaPrivateCrtPaired(const RsaKeyPair& key,
-                                    const bignum::BigUInt& c,
-                                    core::EngineStats* stats = nullptr,
-                                    std::string_view engine = "bit-serial");
+                              std::string_view engine = "word-mont",
+                              core::EngineStats* stats = nullptr);
 
 /// Signs (raw RSA private-key operation, no padding) every message through
-/// `service` with a pipelined CRT: each message's p-half and q-half are
-/// submitted as independent jobs (the scheduler pairs equal-length halves
-/// opportunistically, including across messages), and whichever half lands
-/// second posts Garner recombination plus the Bellcore/Lenstra fault check
-/// to the service's continuation thread — workers never stall on
-/// recombination.  Returns one signature per message; throws
-/// std::runtime_error if any recombined signature fails verification.
+/// `service` with a pipelined CRT (SubmitCrtHalves): the scheduler pairs
+/// equal-length halves opportunistically, including across messages, and
+/// recombination plus the Bellcore check run on the service's
+/// continuation thread.  Returns one signature per message; rethrows an
+/// engine's own exception, and throws std::runtime_error if any
+/// recombined signature fails verification.
 std::vector<bignum::BigUInt> RsaSignBatch(
     const RsaKeyPair& key, std::span<const bignum::BigUInt> messages,
     core::ExpService& service);
 
 /// Garner recombination m = mq + q * ((q^-1 (mp - mq)) mod p), with
-/// q_inv = q^-1 mod p precomputed by the caller (it is a pure function of
-/// the key).  Exposed for pipelined-CRT callers (RsaSignBatch-style
-/// continuations, the signing service) that recombine off-worker.
+/// q_inv = q^-1 mod p precomputed by the caller (once per key).
 bignum::BigUInt RsaCrtRecombine(const RsaKeyPair& key,
                                 const bignum::BigUInt& q_inv,
                                 const bignum::BigUInt& mp,
                                 const bignum::BigUInt& mq);
 
 /// The Bellcore/Lenstra release gate as a predicate: sig^e mod n == input
-/// on `verify_engine` (a mod-n backend the caller hoists once per key).
-/// Callers that can retry (the signing service) branch on this; the
-/// throwing paths above keep throwing.
+/// on `verify_engine` (a mod-n backend hoisted once per key).
 bool RsaCrtResultOk(const core::MmmEngine& verify_engine,
                     const RsaKeyPair& key, const bignum::BigUInt& input,
                     const bignum::BigUInt& sig);
 
-/// Private-key operation on the hardware-modelled exponentiator; returns
-/// the exponentiation statistics (cycle counts per the validated model).
-bignum::BigUInt RsaPrivateOnHardwareModel(const RsaKeyPair& key,
-                                          const bignum::BigUInt& c,
-                                          core::EngineStats* stats,
-                                          std::string_view engine = "bit-serial");
+// ---------------------------------------------------------------------------
+// The CRT core
+// ---------------------------------------------------------------------------
+
+/// Where the CRT core's lifecycle events go: crt.recombine (arg
+/// bellcore_ok) and bellcore.fault (arg attempt), stamped with `id` at
+/// `clock` ticks (null clock: the tracer's steady clock).  A null or
+/// disabled tracer emits nothing.
+struct CrtTrace {
+  obs::Tracer* tracer = nullptr;
+  const core::Clock* clock = nullptr;
+  std::uint64_t id = 0;
+  std::uint64_t attempt = 0;
+};
+
+/// The prepare stage of private-key CRT, built once per key.
+class CrtKey {
+ public:
+  /// Throws std::invalid_argument when p == q or p*q != n: Garner
+  /// recombination would otherwise return a well-formed wrong answer.
+  explicit CrtKey(const RsaKeyPair& key);
+
+  const RsaKeyPair& key() const { return key_; }
+  const bignum::BigUInt& dp() const { return dp_; }  ///< d mod (p-1)
+  const bignum::BigUInt& dq() const { return dq_; }  ///< d mod (q-1)
+
+  /// Garner recombination of the halves, gated by the Bellcore check
+  /// against `input`: the signature, or nullopt when sig^e mod n != input
+  /// (a fault — the value must not be released).
+  std::optional<bignum::BigUInt> Recombine(const bignum::BigUInt& input,
+                                           const bignum::BigUInt& mp,
+                                           const bignum::BigUInt& mq,
+                                           const CrtTrace& trace = {}) const;
+
+ private:
+  RsaKeyPair key_;
+  bignum::BigUInt dp_, dq_, q_inv_;  ///< q_inv_ = q^-1 mod p
+  /// The word-mont mod-n engine of the Bellcore check.
+  std::unique_ptr<const core::MmmEngine> verify_engine_;
+};
+
+/// One joined pair of asynchronous CRT halves.
+struct CrtHalves {
+  bignum::BigUInt mp, mq;
+  /// A half's deadline expired before engine dispatch (mp/mq invalid).
+  bool cancelled = false;
+  /// A half's engine failed (mp/mq invalid).
+  std::exception_ptr error;
+};
+
+/// Submits input^dp mod p, then input^dq mod q, through `service` with
+/// `options`, and runs `done` exactly once on the service's continuation
+/// thread when both halves have resolved (emitting crt.join at the join,
+/// under options.trace_id).  `key` need only outlive the call.  Throws
+/// what ExpService::Submit throws.
+void SubmitCrtHalves(core::ExpService& service, const CrtKey& key,
+                     const bignum::BigUInt& input,
+                     const core::ExpJobOptions& options,
+                     std::function<void(CrtHalves&)> done);
 
 }  // namespace mont::crypto

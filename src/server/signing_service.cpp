@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -66,26 +67,21 @@ SigningService::SigningService(Keystore keystore, Options options)
   }
   keystore_.ForEachKey([this](std::uint32_t tenant_id, std::uint32_t key_id,
                               const crypto::RsaKeyPair& key) {
-    using bignum::BigUInt;
-    if (key.p == key.q || key.p * key.q != key.n) {
+    const std::size_t modulus_bytes = (key.n.BitLength() + 7) / 8;
+    try {
+      keys_.emplace(KeySlot(tenant_id, key_id),
+                    PreparedKey{crypto::CrtKey(key), modulus_bytes});
+    } catch (const std::invalid_argument& error) {
       throw std::invalid_argument(
           "SigningService: malformed CRT key (tenant " +
-          std::to_string(tenant_id) + ", key " + std::to_string(key_id) + ")");
+          std::to_string(tenant_id) + ", key " + std::to_string(key_id) +
+          "): " + error.what());
     }
-    PreparedKey prepared;
-    prepared.key = &key;
-    prepared.modulus_bytes = (key.n.BitLength() + 7) / 8;
-    if (prepared.modulus_bytes < crypto::kPkcs1MinModulusBytes) {
+    if (modulus_bytes < crypto::kPkcs1MinModulusBytes) {
       throw std::invalid_argument(
           "SigningService: modulus too small for PKCS#1 v1.5 / SHA-256 "
           "(need >= 62 bytes)");
     }
-    const BigUInt one{1};
-    prepared.dp = key.d % (key.p - one);
-    prepared.dq = key.d % (key.q - one);
-    prepared.q_inv = BigUInt::ModInverse(key.q % key.p, key.p);
-    prepared.verify_engine = core::MakeEngine("word-mont", key.n);
-    keys_[KeySlot(tenant_id, key_id)] = std::move(prepared);
   });
   auto service_options = options_.service;
   // Every layer shares one registry: the ExpService's jobs.*/sched.*/
@@ -231,103 +227,71 @@ SignResponse SigningService::HandleRequestSync(
 
 void SigningService::SubmitHalvesLocked(
     const std::shared_ptr<RequestState>& state) {
-  state->remaining.store(2, std::memory_order_relaxed);
-  state->p_cancelled = false;
-  state->q_cancelled = false;
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Instant(
         "crt.submit_halves", state->request_id, 0, NowTicks(),
         {{"attempt", static_cast<std::uint64_t>(state->attempts)}});
   }
-  const crypto::RsaKeyPair& key = *state->key->key;
   core::ExpJobOptions job_options;
   job_options.deadline = state->deadline;
   // Both half-jobs carry the request id as their trace id, so the
   // engine-level job.run spans correlate with the server.* events.
   job_options.trace_id = state->request_id;
-  exp_->Submit(key.p, state->em % key.p, state->key->dp, job_options,
-               [this, state](const core::ExpResult& result) {
-                 state->mp = result.value;
-                 state->p_cancelled = result.cancelled;
-                 OnHalfDone(state);
-               });
-  exp_->Submit(key.q, state->em % key.q, state->key->dq, job_options,
-               [this, state](const core::ExpResult& result) {
-                 state->mq = result.value;
-                 state->q_cancelled = result.cancelled;
-                 OnHalfDone(state);
-               });
+  crypto::SubmitCrtHalves(*exp_, state->key->crt, state->em, job_options,
+                          [this, state](crypto::CrtHalves& halves) {
+                            Recombine(state, halves);
+                          });
 }
 
-void SigningService::OnHalfDone(const std::shared_ptr<RequestState>& state) {
-  // acq_rel: the half that arrives second observes the first half's
-  // mp/mq write before posting recombination.
-  if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("crt.join", state->request_id, 0, NowTicks());
-  }
-  exp_->Post([this, state] { Recombine(state); });
-}
-
-void SigningService::Recombine(const std::shared_ptr<RequestState>& state) {
-  if (state->p_cancelled || state->q_cancelled) {
+void SigningService::Recombine(const std::shared_ptr<RequestState>& state,
+                               crypto::CrtHalves& halves) {
+  if (halves.cancelled) {
     Finish(state, StatusCode::kDeadlineExceeded,
            DetailBytes("deadline expired before engine dispatch"));
     return;
   }
-  // Chaos compute-fault injection: flip a bit of the p-half *after* the
-  // engines ran and *before* recombination — exactly the fault class the
-  // Bellcore check exists for.
-  if (chaos_ != nullptr && chaos_->ShouldCorruptCrtHalf()) {
-    chaos_->CorruptValue(state->mp);
-  }
   const PreparedKey& prepared = *state->key;
-  obs::Tracer* const tracer = tracer_;
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  const std::uint64_t recombine_start = tracing ? NowTicks() : 0;
-  const bignum::BigUInt signature =
-      crypto::RsaCrtRecombine(*prepared.key, prepared.q_inv, state->mp,
-                              state->mq);
-  const bool bellcore_ok = crypto::RsaCrtResultOk(
-      *prepared.verify_engine, *prepared.key, state->em, signature);
-  if (tracing) {
-    tracer->Complete("crt.recombine", state->request_id, 0, recombine_start,
-                     NowTicks(),
-                     {{"bellcore_ok", bellcore_ok ? std::uint64_t{1}
-                                                  : std::uint64_t{0}}});
+  // A half whose engine failed is a compute fault of this attempt, handled
+  // like one the Bellcore gate catches.
+  std::optional<bignum::BigUInt> signature;
+  if (halves.error == nullptr) {
+    // Chaos compute-fault injection: flip a bit of the p-half *after* the
+    // engines ran and *before* recombination — exactly the fault class the
+    // Bellcore check exists for.
+    if (chaos_ != nullptr && chaos_->ShouldCorruptCrtHalf()) {
+      chaos_->CorruptValue(halves.mp);
+    }
+    signature = prepared.crt.Recombine(
+        state->em, halves.mp, halves.mq,
+        {tracer_, clock_, state->request_id,
+         static_cast<std::uint64_t>(state->attempts)});
   }
-  if (!bellcore_ok) {
-    metrics_.faults_caught.Increment();
-    if (tracing) {
-      tracer->Instant(
-          "bellcore.fault", state->request_id, 0, NowTicks(),
-          {{"attempt", static_cast<std::uint64_t>(state->attempts)}});
-    }
-    bool shutdown = false;
-    bool retried = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shutdown = shutting_down_;
-      if (!shutdown && state->attempts < options_.max_internal_retries) {
-        ++state->attempts;
-        metrics_.internal_retries.Increment();
-        SubmitHalvesLocked(state);
-        retried = true;
-      }
-    }
-    if (!retried) {
-      Finish(state,
-             shutdown ? StatusCode::kShuttingDown
-                      : StatusCode::kInternalRetrying,
-             DetailBytes(shutdown
-                             ? "service shutting down during internal retry"
-                             : "compute fault persisted across retries; "
-                               "no signature released"));
-    }
+  if (signature) {
+    Finish(state, StatusCode::kOk,
+           signature->ToBytesBE(prepared.modulus_bytes));
     return;
   }
-  Finish(state, StatusCode::kOk,
-         signature.ToBytesBE(prepared.modulus_bytes));
+  metrics_.faults_caught.Increment();
+  bool shutdown = false;
+  bool retried = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    shutdown = shutting_down_;
+    if (!shutdown && state->attempts < options_.max_internal_retries) {
+      ++state->attempts;
+      metrics_.internal_retries.Increment();
+      SubmitHalvesLocked(state);
+      retried = true;
+    }
+  }
+  if (!retried) {
+    Finish(state,
+           shutdown ? StatusCode::kShuttingDown
+                    : StatusCode::kInternalRetrying,
+           DetailBytes(shutdown ? "service shutting down during internal retry"
+                                : "compute fault persisted across retries; "
+                                  "no signature released"));
+  }
 }
 
 void SigningService::Finish(const std::shared_ptr<RequestState>& state,

@@ -12,10 +12,12 @@
 //     ExpJobOptions::deadline on both CRT half-jobs, so an expired request
 //     is cancelled *inside the scheduler* before it ever reaches an
 //     engine (DEADLINE_EXCEEDED, and the array time goes to live work);
-//   * fault containment — each signature is recombined off-worker on the
-//     continuation thread (pipelined CRT), then gated by the
-//     Bellcore/Lenstra check.  A corrupted half (chaos injection or a real
-//     compute fault) is caught, the request silently retried up to
+//   * fault containment — each request's CRT halves run through the
+//     crypto CRT core (crypto::SubmitCrtHalves), which joins them on the
+//     continuation thread; the service recombines there, gated by the
+//     Bellcore/Lenstra check (crypto::CrtKey::Recombine).  A corrupted
+//     half (chaos injection or a real compute fault) or a half whose
+//     engine failed is caught, the request silently retried up to
 //     max_internal_retries, and a bad signature is NEVER released —
 //     server.bad_signatures_released exists to let tests assert the
 //     zero;
@@ -39,7 +41,6 @@
 // the engine-level job.run spans correlate.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -119,14 +120,16 @@ class SigningService {
   /// STATS verb renders.  The server.* counters: requests (decoded
   /// payloads, incl. pings), pings, stats_requests, admitted, ok,
   /// rejected_backpressure, shed_overload, deadline_exceeded,
-  /// retry_exhausted (every attempt caught by the Bellcore gate; answered
-  /// kInternalRetrying), shutdown_refused, malformed, unknown_tenant,
-  /// unknown_key, faults_caught (Bellcore-detected faults: chaos
-  /// corruptions that reached recombination plus any real compute
-  /// fault), internal_retries, and bad_signatures_released — THE
-  /// invariant counter: a signature released whose Bellcore check did
-  /// not pass.  Structurally unreachable (the only kOk path is behind
-  /// RsaCrtResultOk) and asserted == 0 by the chaos suite.
+  /// retry_exhausted (every attempt faulted; answered kInternalRetrying),
+  /// shutdown_refused, malformed, unknown_tenant, unknown_key,
+  /// faults_caught (Bellcore-detected faults: chaos corruptions that
+  /// reached recombination plus any real compute fault; a CRT half whose
+  /// engine failed counts here too and takes the same retry path, with no
+  /// counter or status of its own), internal_retries, and
+  /// bad_signatures_released — THE invariant counter: a signature
+  /// released whose Bellcore check did not pass.  Structurally
+  /// unreachable (the only kOk path is behind CrtKey::Recombine's gate)
+  /// and asserted == 0 by the chaos suite.
   obs::Registry& registry() const { return *registry_; }
   /// Merged metrics snapshot — the STATS verb's source of truth.
   obs::MetricsSnapshot StatsSnapshot() const { return registry_->Snapshot(); }
@@ -137,17 +140,14 @@ class SigningService {
   std::uint64_t NowTicks() const;
 
  private:
-  /// Per-(tenant, key) context hoisted at construction: CRT exponents,
-  /// Garner constant, a mod-n verify engine for the Bellcore gate, and
-  /// the PKCS#1 encoding length.
+  /// Per-(tenant, key) context hoisted at construction: the CRT core's
+  /// prepared key and the PKCS#1 encoding length.
   struct PreparedKey {
-    const crypto::RsaKeyPair* key = nullptr;
-    bignum::BigUInt dp, dq, q_inv;
-    std::shared_ptr<const core::MmmEngine> verify_engine;
+    crypto::CrtKey crt;
     std::size_t modulus_bytes = 0;
   };
 
-  /// One admitted request's lifecycle across its two CRT half-jobs.
+  /// One admitted request's lifecycle across its CRT attempts.
   struct RequestState {
     std::uint64_t request_id = 0;
     std::uint32_t tenant_id = 0;
@@ -156,10 +156,6 @@ class SigningService {
     std::uint64_t deadline = 0;  ///< absolute tick, 0 = none
     std::uint64_t admit_tick = 0;  ///< for server.latency_ticks
     int attempts = 0;
-    std::atomic<int> remaining{2};
-    bignum::BigUInt mp, mq;
-    bool p_cancelled = false;
-    bool q_cancelled = false;
     ResponseFn respond;
   };
 
@@ -176,10 +172,10 @@ class SigningService {
   /// so a submit either happens-before shutdown (and is drained) or
   /// observes the flag and never happens.
   void SubmitHalvesLocked(const std::shared_ptr<RequestState>& state);
-  void OnHalfDone(const std::shared_ptr<RequestState>& state);
-  /// Continuation-thread stage: recombine, Bellcore-gate, retry or
-  /// finish.
-  void Recombine(const std::shared_ptr<RequestState>& state);
+  /// Continuation-thread stage, once per attempt: recombine,
+  /// Bellcore-gate, retry or finish.
+  void Recombine(const std::shared_ptr<RequestState>& state,
+                 crypto::CrtHalves& halves);
   /// Retires an admitted request with its one response.
   void Finish(const std::shared_ptr<RequestState>& state, StatusCode status,
               std::vector<std::uint8_t> payload);

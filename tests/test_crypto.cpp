@@ -3,12 +3,15 @@
 // exhaustive checks on a tiny curve plus known-structure checks on P-192.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bignum/prime.hpp"
 #include "bignum/random.hpp"
 #include "crypto/ecc.hpp"
 #include "crypto/rsa.hpp"
+#include "server/signing_service.hpp"
 #include "testutil.hpp"
 
 namespace mont::crypto {
@@ -67,10 +70,45 @@ TEST(Rsa, HardwareModelAgreesAndReportsCycles) {
   const BigUInt m = rng.Below(key.n);
   const BigUInt c = RsaPublic(key, m);
   core::EngineStats stats;
-  EXPECT_EQ(RsaPrivateOnHardwareModel(key, c, &stats), m);
+  EXPECT_EQ(RsaPrivate(key, c, "bit-serial", &stats), m);
   EXPECT_GT(stats.engine_cycles, 0u);
   EXPECT_EQ(stats.mmm_invocations,
             stats.squarings + stats.multiplications + 2);
+}
+
+// Every RSA-CRT entry point as one callable, so the conformance sweeps
+// below hold each of them to the same key checks, range checks and
+// fault gate.
+struct CrtPath {
+  const char* name;
+  std::function<BigUInt(const RsaKeyPair&, const BigUInt&)> sign;
+};
+
+std::vector<CrtPath> CrtPaths() {
+  return {
+      {"RsaPrivateCrt/word-mont",
+       [](const RsaKeyPair& key, const BigUInt& c) {
+         return RsaPrivateCrt(key, c, "word-mont");
+       }},
+      {"RsaPrivateCrt/bit-serial",
+       [](const RsaKeyPair& key, const BigUInt& c) {
+         return RsaPrivateCrt(key, c, "bit-serial");
+       }},
+      {"RsaPrivateCrtBlinded",
+       [](const RsaKeyPair& key, const BigUInt& c) {
+         bignum::RandomBigUInt blind_rng(test::TestSeed(5));
+         return RsaPrivateCrtBlinded(key, c, blind_rng,
+                                     RsaBlindingOptions{true, 16});
+       }},
+      {"RsaSignBatch",
+       [](const RsaKeyPair& key, const BigUInt& c) {
+         core::ExpService::Options options;
+         options.workers = 2;
+         core::ExpService service(options);
+         const std::vector<BigUInt> messages{c};
+         return RsaSignBatch(key, messages, service).at(0);
+       }},
+  };
 }
 
 TEST(Rsa, MessageOutOfRangeThrows) {
@@ -78,37 +116,32 @@ TEST(Rsa, MessageOutOfRangeThrows) {
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   EXPECT_THROW(RsaPublic(key, key.n), std::invalid_argument);
   EXPECT_THROW(RsaPrivate(key, key.n + BigUInt{1}), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrt(key, key.n), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtPaired(key, key.n), std::invalid_argument);
   core::EngineStats stats;
-  EXPECT_THROW(RsaPrivateOnHardwareModel(key, key.n, &stats),
+  EXPECT_THROW(RsaPrivate(key, key.n, "bit-serial", &stats),
                std::invalid_argument);
+  for (const CrtPath& path : CrtPaths()) {
+    EXPECT_THROW(path.sign(key, key.n), std::invalid_argument) << path.name;
+  }
 }
 
 // Bellcore/Lenstra fault hygiene: a faulty CRT half-exponentiation yields
-// a well-formed wrong signature whose gcd(sig^e - c, n) factors n.  The
-// paired/batch paths verify sig^e mod n against the input and must throw
-// rather than release the broken result.  Fault injection: a corrupted
-// private exponent makes both halves compute a wrong (but well-formed)
-// power — the same observable as a computation fault.
+// a well-formed wrong signature whose gcd(sig^e - c, n) factors n.  Every
+// CRT path verifies sig^e mod n against the input and must throw rather
+// than release the broken result.  Fault injection: a corrupted private
+// exponent makes both halves compute a wrong (but well-formed) power —
+// the same observable as a computation fault.
 TEST(Rsa, CrtFaultIsDetectedBeforeRelease) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   BigUInt m = rng.Below(key.n);
   if (m <= BigUInt{1}) m = BigUInt{2};
   const BigUInt c = RsaPublic(key, m);
-  ASSERT_EQ(RsaPrivateCrtPaired(key, c), m);  // healthy path releases
-
   RsaKeyPair faulted = key;
   faulted.d = key.d + BigUInt{2};
-  EXPECT_THROW(RsaPrivateCrtPaired(faulted, c), std::runtime_error);
-  EXPECT_THROW(RsaPrivateCrt(faulted, c), std::runtime_error);
-
-  core::ExpService service;
-  const std::vector<BigUInt> messages{c};
-  EXPECT_THROW(RsaSignBatch(faulted, messages, service), std::runtime_error);
-  // The healthy key still signs the same batch.
-  EXPECT_EQ(RsaSignBatch(key, messages, service).at(0), m);
+  for (const CrtPath& path : CrtPaths()) {
+    EXPECT_EQ(path.sign(key, c), m) << path.name;  // healthy path releases
+    EXPECT_THROW(path.sign(faulted, c), std::runtime_error) << path.name;
+  }
 }
 
 // A backend without pairable streams still computes CRT — sequentially —
@@ -119,7 +152,7 @@ TEST(Rsa, CrtPairedFallsBackForUnpairableBackends) {
   const BigUInt m = rng.Below(key.n);
   const BigUInt c = RsaPublic(key, m);
   core::EngineStats stats;
-  EXPECT_EQ(RsaPrivateCrtPaired(key, c, &stats, "word-mont"), m);
+  EXPECT_EQ(RsaPrivateCrt(key, c, "word-mont", &stats), m);
   EXPECT_EQ(stats.paired_issues, 0u);  // word-serial: sequential issue
   EXPECT_GT(stats.single_issues, 0u);
 
@@ -132,7 +165,8 @@ TEST(Rsa, CrtPairedFallsBackForUnpairableBackends) {
 }
 
 // A hand-assembled CRT key with p == q (or p*q != n) would recombine to a
-// well-formed wrong answer; the CRT paths must reject it loudly instead.
+// well-formed wrong answer; every CRT path must reject it loudly instead,
+// and the signing service must refuse to serve it.
 TEST(Rsa, MalformedCrtKeysAreRejected) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
@@ -141,14 +175,27 @@ TEST(Rsa, MalformedCrtKeysAreRejected) {
   RsaKeyPair equal_primes = key;
   equal_primes.q = equal_primes.p;
   equal_primes.n = equal_primes.p * equal_primes.p;
-  const BigUInt c = rng.Below(key.p);
-  EXPECT_THROW(RsaPrivateCrt(equal_primes, c), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtPaired(equal_primes, c), std::invalid_argument);
-
   RsaKeyPair mismatched = key;
   mismatched.n += BigUInt{2};  // p*q != n
-  EXPECT_THROW(RsaPrivateCrt(mismatched, c), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtPaired(mismatched, c), std::invalid_argument);
+  const BigUInt c = rng.Below(key.p);
+  for (const RsaKeyPair& bad : {equal_primes, mismatched}) {
+    for (const CrtPath& path : CrtPaths()) {
+      EXPECT_THROW(path.sign(bad, c), std::invalid_argument) << path.name;
+    }
+    server::Keystore keystore;
+    keystore.AddTenant(1, {});
+    keystore.AddKey(1, 7, bad);
+    // A 64-bit modulus is also too small for PKCS#1, so the message pins
+    // which check refused the key.
+    try {
+      server::SigningService service(std::move(keystore));
+      ADD_FAILURE() << "SigningService accepted a malformed CRT key";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("malformed CRT key"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Pinned results and EngineStats of every exponentiation path: MmmEngine
 // ModExp on each registered backend (both fields where supported), the
 // service's solo path, PairedModExp with and without the dual-channel
-// array, and the right-to-left InterleavedExponentiator.  The expected
+// array, the right-to-left InterleavedExponentiator, and the RSA
+// private-key paths (CRT and plain) on a fixed key.  The expected
 // rows are literals, so any change to the §4.5 step sequence, its
 // operation counts or its issue charging shows up here as a diff.
 //
@@ -17,6 +18,7 @@
 #include "core/engine.hpp"
 #include "core/exp_service.hpp"
 #include "core/interleaved.hpp"
+#include "crypto/rsa.hpp"
 
 namespace mont::core {
 namespace {
@@ -274,6 +276,51 @@ TEST(ExpPins, InterleavedExponentiator) {
       "d155a1934ec001c7 0 0 0 1 65 12937 0 0",
       "19b8dc15dfcd4ef0 0 0 0 32 34 12968 0 0",
       "81a464871f14edb6 0 0 0 96 2 19304 0 0",
+  });
+}
+
+// A fixed 128-bit RSA key (64-bit p and q, so the CRT halves pair) and
+// three messages: the CRT pair on the paired bit-serial array and on
+// word-mont's sequential fallback, then the plain c^d mod n on both.
+TEST(ExpPins, RsaPrivateKeyPaths) {
+  crypto::RsaKeyPair key;
+  key.n = BigUInt::FromHex("ccbae8f817b2f1a6e9d33f90bef6381b");
+  key.e = BigUInt{65537};
+  key.d = BigUInt::FromHex("652a5d51aee04961476c3c91c8707b4d");
+  key.p = BigUInt::FromHex("f1407d62df16b46f");
+  key.q = BigUInt::FromHex("d93eddd8bac0c515");
+  const std::array<BigUInt, 3> messages = {
+      BigUInt::FromHex("47a1221b4c0bd0b26b669304fdb2624e"),
+      BigUInt::FromHex("baf1cd2acb2c8a7c6db34ba84527a8d1"),
+      BigUInt::FromHex("55caea83e79c68cb48a3d3ad809b9d23")};
+  std::vector<std::string> got;
+  for (const char* engine : {"bit-serial", "word-mont"}) {
+    for (const BigUInt& m : messages) {
+      EngineStats stats;
+      const BigUInt sig = crypto::RsaPrivateCrt(key, m, engine, &stats);
+      got.push_back(std::string(engine) + " crt " + Row(sig, stats));
+    }
+  }
+  for (const char* engine : {"bit-serial", "word-mont"}) {
+    for (const BigUInt& m : messages) {
+      EngineStats stats;
+      const BigUInt sig = crypto::RsaPrivate(key, m, engine, &stats);
+      got.push_back(std::string(engine) + " plain " + Row(sig, stats));
+    }
+  }
+  ExpectRows(got, {
+      "bit-serial crt 302b9be828df29ff4d0e53d0f604520f 0 0 0 94 5 19498 0 0",
+      "bit-serial crt 86c60251e3a08e781c300efbd0ab568f 0 0 0 94 5 19498 0 0",
+      "bit-serial crt 9a31967408722e1f26e536370ef4f100 0 0 0 94 5 19498 0 0",
+      "word-mont crt 302b9be828df29ff4d0e53d0f604520f 0 0 0 0 193 1930 0 0",
+      "word-mont crt 86c60251e3a08e781c300efbd0ab568f 0 0 0 0 193 1930 0 0",
+      "word-mont crt 9a31967408722e1f26e536370ef4f100 0 0 0 0 193 1930 0 0",
+      "bit-serial plain 302b9be828df29ff4d0e53d0f604520f 126 59 187 0 0 72556 72560 0",
+      "bit-serial plain 86c60251e3a08e781c300efbd0ab568f 126 59 187 0 0 72556 72560 0",
+      "bit-serial plain 9a31967408722e1f26e536370ef4f100 126 59 187 0 0 72556 72560 0",
+      "word-mont plain 302b9be828df29ff4d0e53d0f604520f 126 59 187 0 0 6732 72560 0",
+      "word-mont plain 86c60251e3a08e781c300efbd0ab568f 126 59 187 0 0 6732 72560 0",
+      "word-mont plain 9a31967408722e1f26e536370ef4f100 126 59 187 0 0 6732 72560 0",
   });
 }
 

@@ -8,7 +8,7 @@
 //     bit-for-bit against a scalar Exponentiator oracle;
 //   * determinism: paired and unpaired execution agree exactly;
 //   * stats accounting: paired jobs are charged 3l+5 per MMM pair;
-//   * the crypto entry points (RsaPrivateCrtPaired, RsaSignBatch,
+//   * the crypto entry points (paired RsaPrivateCrt, RsaSignBatch,
 //     Curve::ScalarMulBatch) driving the service end to end.
 #include <gtest/gtest.h>
 
@@ -744,7 +744,7 @@ TEST(ExpServiceCrypto, RsaPrivateCrtPairedMatchesAndSavesCycles) {
     const BigUInt m = rng.Below(key.n);
     const BigUInt c = crypto::RsaPublic(key, m);
     EngineStats stats;
-    EXPECT_EQ(crypto::RsaPrivateCrtPaired(key, c, &stats), m);
+    EXPECT_EQ(crypto::RsaPrivateCrt(key, c, "bit-serial", &stats), m);
     EXPECT_GT(stats.paired_issues, 0u);
     const std::size_t l = key.p.BitLength();
     EXPECT_EQ(stats.engine_cycles,

@@ -8,13 +8,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bignum/biguint.hpp"
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
+#include "core/exp_service.hpp"
 #include "crypto/pkcs1.hpp"
 #include "crypto/rsa.hpp"
 #include "obs/metrics.hpp"
@@ -560,6 +565,76 @@ TEST(SigningServiceTest, DestructorDrainsInFlightRequests) {
   // Every admitted request got exactly one response, none were lost.
   EXPECT_EQ(responses.load(), 8);
   EXPECT_EQ(ok.load(), 8);
+}
+
+// A backend whose factory throws, i.e. an engine that fails on the worker
+// thread the first time a job needs it.  Registered once per process.
+const char* FailingEngineName() {
+  static const char* const name = [] {
+    core::EngineRegistry::Global().Register(
+        "test-failing",
+        {"test backend whose construction always fails", {},
+         [](BigUInt, const core::EngineOptions&)
+             -> std::unique_ptr<core::MmmEngine> {
+           throw std::runtime_error("test-failing: engine fault");
+         }});
+    return "test-failing";
+  }();
+  return name;
+}
+
+// An engine failure on a worker is a compute fault of that attempt: the
+// job callback still runs (with the error), the service re-signs within
+// its bound and then answers kInternalRetrying, and Wait() returns.  The
+// response wait is bounded so a lost response fails rather than hangs.
+TEST(SigningServiceTest, EngineFailureIsAnsweredNotLost) {
+  {
+    core::ExpService::Options options;
+    options.engine_name = FailingEngineName();
+    core::ExpService exp(options);
+    std::atomic<int> callbacks{0};
+    std::atomic<bool> saw_error{false};
+    auto future = exp.Submit(BigUInt{97}, BigUInt{5}, BigUInt{3},
+                             [&](const core::ExpResult& result) {
+                               ++callbacks;
+                               saw_error = result.error != nullptr;
+                             });
+    EXPECT_THROW(future.get(), std::runtime_error);
+    exp.Wait();
+    EXPECT_EQ(callbacks.load(), 1);
+    EXPECT_TRUE(saw_error.load());
+
+    // RsaSignBatch surfaces the engine's own exception.
+    const std::vector<BigUInt> messages{BigUInt{2}, BigUInt{3}};
+    try {
+      crypto::RsaSignBatch(TestKey(), messages, exp);
+      ADD_FAILURE() << "RsaSignBatch released signatures from a failed engine";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "test-failing: engine fault");
+    }
+  }
+
+  std::promise<SignResponse> promise;
+  std::future<SignResponse> response = promise.get_future();
+  SigningService::Options options;
+  options.service.engine_name = FailingEngineName();
+  SigningService service(OneTenantKeystore(), options);
+  service.HandleRequest(EncodeSignRequest(MakeRequest("engine down")),
+                        [&promise](SignResponse r) {
+                          promise.set_value(std::move(r));
+                        });
+  ASSERT_EQ(response.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "admitted request got no response after an engine failure";
+  EXPECT_EQ(response.get().status, StatusCode::kInternalRetrying);
+  service.Wait();
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("server.admitted"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.retry_exhausted"), 1u);
+  EXPECT_EQ(counters.CounterValue("server.faults_caught"), 3u);
+  EXPECT_EQ(counters.CounterValue("server.internal_retries"), 2u);
+  EXPECT_EQ(counters.CounterValue("server.ok"), 0u);
+  EXPECT_EQ(counters.CounterValue("server.bad_signatures_released"), 0u);
 }
 
 }  // namespace
