@@ -526,6 +526,10 @@ class ExpService {
 
   const Options& options() const { return dispatcher_.options(); }
 
+  /// The service clock: Options::clock, or the service's own steady
+  /// nanosecond clock when that is null.
+  const Clock& clock() const { return *clock_; }
+
  private:
   std::future<Result> Enqueue(Dispatcher::Job job);
   void WorkerLoop(std::size_t index);

@@ -75,10 +75,6 @@ BigUInt Released(std::optional<BigUInt> sig, const char* who) {
   return std::move(*sig);
 }
 
-std::uint64_t TraceNow(const core::Clock* clock) {
-  return clock != nullptr ? clock->Now() : obs::Tracer::NowTicks();
-}
-
 // The in-line CRT halves: input^ep mod p and input^eq mod q on `engine`,
 // paired or solo as RsaPrivateCrt documents.
 std::pair<BigUInt, BigUInt> RunCrtHalves(const CrtKey& crt,
@@ -238,9 +234,9 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
     }
   }
   obs::Tracer* const tracer = service.options().tracer;
-  const core::Clock* const clock = service.options().clock;
+  const core::Clock& clock = service.clock();
   const bool tracing = tracer != nullptr && tracer->enabled();
-  const std::uint64_t batch_start = tracing ? TraceNow(clock) : 0;
+  const std::uint64_t batch_start = tracing ? clock.Now() : 0;
 
   std::vector<std::future<BigUInt>> recombined;
   recombined.reserve(messages.size());
@@ -251,7 +247,7 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
     // with its crt.* events.
     core::ExpJobOptions job_options;
     job_options.trace_id = static_cast<std::uint64_t>(index) + 1;
-    const CrtTrace trace{tracer, clock, job_options.trace_id, 0};
+    const CrtTrace trace{tracer, &clock, job_options.trace_id, 0};
     SubmitCrtHalves(
         service, *crt, messages[index], job_options,
         [crt, signature, message = messages[index], trace](CrtHalves& halves) {
@@ -272,7 +268,7 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
   for (auto& future : recombined) signatures.push_back(future.get());
   if (tracing) {
     tracer->Complete(
-        "rsa.batch", 0, 0, batch_start, TraceNow(clock),
+        "rsa.batch", 0, 0, batch_start, clock.Now(),
         {{"messages", static_cast<std::uint64_t>(messages.size())}});
   }
   return signatures;
@@ -316,16 +312,15 @@ std::optional<BigUInt> CrtKey::Recombine(const BigUInt& input,
                                          const CrtTrace& trace) const {
   obs::Tracer* const tracer = trace.tracer;
   const bool tracing = tracer != nullptr && tracer->enabled();
-  const std::uint64_t start = tracing ? TraceNow(trace.clock) : 0;
+  const std::uint64_t start = tracing ? trace.clock->Now() : 0;
   BigUInt sig = RsaCrtRecombine(key_, q_inv_, mp, mq);
   const bool bellcore_ok = RsaCrtResultOk(*verify_engine_, key_, input, sig);
   if (tracing) {
-    tracer->Complete("crt.recombine", trace.id, 0, start,
-                     TraceNow(trace.clock),
+    tracer->Complete("crt.recombine", trace.id, 0, start, trace.clock->Now(),
                      {{"bellcore_ok", bellcore_ok ? std::uint64_t{1}
                                                   : std::uint64_t{0}}});
     if (!bellcore_ok) {
-      tracer->Instant("bellcore.fault", trace.id, 0, TraceNow(trace.clock),
+      tracer->Instant("bellcore.fault", trace.id, 0, trace.clock->Now(),
                       {{"attempt", trace.attempt}});
     }
   }
@@ -354,8 +349,7 @@ void SubmitCrtHalves(core::ExpService& service, const CrtKey& key,
       }
       obs::Tracer* const tracer = service.options().tracer;
       if (tracer != nullptr && tracer->enabled()) {
-        tracer->Instant("crt.join", trace_id, 0,
-                        TraceNow(service.options().clock));
+        tracer->Instant("crt.join", trace_id, 0, service.clock().Now());
       }
       service.Post([join] {
         auto& [p, q] = join->halves;

@@ -166,8 +166,8 @@ bool RsaCrtResultOk(const core::MmmEngine& verify_engine,
 
 /// Where the CRT core's lifecycle events go: crt.recombine (arg
 /// bellcore_ok) and bellcore.fault (arg attempt), stamped with `id` at
-/// `clock` ticks (null clock: the tracer's steady clock).  A null or
-/// disabled tracer emits nothing.
+/// `clock` ticks (the caller's service clock; required whenever `tracer`
+/// is set).  A null or disabled tracer emits nothing.
 struct CrtTrace {
   obs::Tracer* tracer = nullptr;
   const core::Clock* clock = nullptr;

@@ -78,13 +78,14 @@ TEST(Rsa, HardwareModelAgreesAndReportsCycles) {
 
 // Every RSA-CRT entry point as one callable, so the conformance sweeps
 // below hold each of them to the same key checks, range checks and
-// fault gate.
+// fault gate.  RsaSignBatch signs on the caller's `service`, so a sweep
+// also shows that one service outlives a failed batch.
 struct CrtPath {
   const char* name;
   std::function<BigUInt(const RsaKeyPair&, const BigUInt&)> sign;
 };
 
-std::vector<CrtPath> CrtPaths() {
+std::vector<CrtPath> CrtPaths(core::ExpService& service) {
   return {
       {"RsaPrivateCrt/word-mont",
        [](const RsaKeyPair& key, const BigUInt& c) {
@@ -101,14 +102,18 @@ std::vector<CrtPath> CrtPaths() {
                                      RsaBlindingOptions{true, 16});
        }},
       {"RsaSignBatch",
-       [](const RsaKeyPair& key, const BigUInt& c) {
-         core::ExpService::Options options;
-         options.workers = 2;
-         core::ExpService service(options);
+       [&service](const RsaKeyPair& key, const BigUInt& c) {
          const std::vector<BigUInt> messages{c};
          return RsaSignBatch(key, messages, service).at(0);
        }},
   };
+}
+
+// A small threaded service for the RsaSignBatch path of the sweeps.
+core::ExpService::Options SweepServiceOptions() {
+  core::ExpService::Options options;
+  options.workers = 2;
+  return options;
 }
 
 TEST(Rsa, MessageOutOfRangeThrows) {
@@ -119,7 +124,8 @@ TEST(Rsa, MessageOutOfRangeThrows) {
   core::EngineStats stats;
   EXPECT_THROW(RsaPrivate(key, key.n, "bit-serial", &stats),
                std::invalid_argument);
-  for (const CrtPath& path : CrtPaths()) {
+  core::ExpService service(SweepServiceOptions());
+  for (const CrtPath& path : CrtPaths(service)) {
     EXPECT_THROW(path.sign(key, key.n), std::invalid_argument) << path.name;
   }
 }
@@ -127,9 +133,11 @@ TEST(Rsa, MessageOutOfRangeThrows) {
 // Bellcore/Lenstra fault hygiene: a faulty CRT half-exponentiation yields
 // a well-formed wrong signature whose gcd(sig^e - c, n) factors n.  Every
 // CRT path verifies sig^e mod n against the input and must throw rather
-// than release the broken result.  Fault injection: a corrupted private
-// exponent makes both halves compute a wrong (but well-formed) power —
-// the same observable as a computation fault.
+// than release the broken result — and then still sign with the healthy
+// key (for RsaSignBatch: on the same service whose continuation threw).
+// Fault injection: a corrupted private exponent makes both halves compute
+// a wrong (but well-formed) power — the same observable as a computation
+// fault.
 TEST(Rsa, CrtFaultIsDetectedBeforeRelease) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
@@ -138,9 +146,10 @@ TEST(Rsa, CrtFaultIsDetectedBeforeRelease) {
   const BigUInt c = RsaPublic(key, m);
   RsaKeyPair faulted = key;
   faulted.d = key.d + BigUInt{2};
-  for (const CrtPath& path : CrtPaths()) {
-    EXPECT_EQ(path.sign(key, c), m) << path.name;  // healthy path releases
+  core::ExpService service(SweepServiceOptions());
+  for (const CrtPath& path : CrtPaths(service)) {
     EXPECT_THROW(path.sign(faulted, c), std::runtime_error) << path.name;
+    EXPECT_EQ(path.sign(key, c), m) << path.name;  // healthy key releases
   }
 }
 
@@ -178,8 +187,9 @@ TEST(Rsa, MalformedCrtKeysAreRejected) {
   RsaKeyPair mismatched = key;
   mismatched.n += BigUInt{2};  // p*q != n
   const BigUInt c = rng.Below(key.p);
+  core::ExpService sweep_service(SweepServiceOptions());
   for (const RsaKeyPair& bad : {equal_primes, mismatched}) {
-    for (const CrtPath& path : CrtPaths()) {
+    for (const CrtPath& path : CrtPaths(sweep_service)) {
       EXPECT_THROW(path.sign(bad, c), std::invalid_argument) << path.name;
     }
     server::Keystore keystore;
