@@ -1,9 +1,12 @@
 // bench_software — §3 context: Montgomery multiplication avoids the trial
 // division that dominates naive modular arithmetic.  Microbenchmarks of
 // the software layers: division-based modular multiplication vs the
-// word-level Montgomery variants (CIOS / SOS / FIPS), the radix-2
-// Algorithms 1 and 2, the Karatsuba threshold, and the throughput of the
-// hardware-model fidelity levels.
+// word-level Montgomery kernel (WordMontgomery's 64-bit CIOS) and, as a
+// Koç-style comparison, the radix-2^32 SOS and FIPS scans kept here; the
+// radix-2 Algorithms 1 and 2, the Karatsuba threshold, the kernel's
+// fixed-window ModExp, and the throughput of the hardware-model fidelity
+// levels.  SOS and FIPS are checked against the kernel on every fixture
+// before they are timed; a mismatch exits 1.
 //
 // Self-timed (bench_timer.hpp, no benchmark-framework dependency).
 // Writes BENCH_software.json; wall_* keys are host-dependent and exempt
@@ -12,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -38,6 +42,126 @@ struct Fixture {
     x = rng.Below(n);
     y = rng.Below(n);
   }
+};
+
+/// Radix-2^32 Montgomery product x*y*2^(-32 s) mod N by Separated or
+/// Finely Integrated Product Scanning (Koç, Acar & Kaliski), over the
+/// modulus's s 32-bit limbs, with BigUInt in and out like the kernel's
+/// Multiply.
+class KocScans {
+ public:
+  using Limb = BigUInt::Limb;
+
+  explicit KocScans(const BigUInt& n) : n_(n.Limbs().begin(), n.Limbs().end()) {
+    // -N^-1 mod 2^32 by Newton iteration on the 2-adic inverse.
+    Limb inv = 1;
+    for (int iter = 0; iter < 5; ++iter) {
+      inv = static_cast<Limb>(inv * (2u - n_[0] * inv));
+    }
+    n0_inv_ = static_cast<Limb>(0u - inv);
+  }
+
+  BigUInt Sos(const BigUInt& x, const BigUInt& y) const {
+    const std::size_t s = n_.size();
+    const std::vector<Limb> a = Pad(x), b = Pad(y);
+    // Phase 1: full double-width product.
+    std::vector<Limb> t(2 * s + 1, 0);
+    for (std::size_t i = 0; i < s; ++i) {
+      std::uint64_t carry = 0;
+      for (std::size_t j = 0; j < s; ++j) {
+        const std::uint64_t v =
+            static_cast<std::uint64_t>(a[i]) * b[j] + t[i + j] + carry;
+        t[i + j] = static_cast<Limb>(v);
+        carry = v >> 32;
+      }
+      t[i + s] = static_cast<Limb>(carry);
+    }
+    // Phase 2: interleaved reduction, one limb of m per outer step.
+    for (std::size_t i = 0; i < s; ++i) {
+      const Limb m = static_cast<Limb>(t[i] * n0_inv_);
+      std::uint64_t carry = 0;
+      for (std::size_t j = 0; j < s; ++j) {
+        const std::uint64_t v =
+            static_cast<std::uint64_t>(m) * n_[j] + t[i + j] + carry;
+        t[i + j] = static_cast<Limb>(v);
+        carry = v >> 32;
+      }
+      for (std::size_t j = i + s; carry != 0 && j < t.size(); ++j) {
+        const std::uint64_t v = static_cast<std::uint64_t>(t[j]) + carry;
+        t[j] = static_cast<Limb>(v);
+        carry = v >> 32;
+      }
+    }
+    // Phase 3: divide by R = 2^(32 s) and reduce.
+    return Reduced(std::vector<Limb>(t.begin() + static_cast<std::ptrdiff_t>(s),
+                                     t.end()));
+  }
+
+  BigUInt Fips(const BigUInt& x, const BigUInt& y) const {
+    const std::size_t s = n_.size();
+    const std::vector<Limb> a = Pad(x), b = Pad(y);
+    std::vector<Limb> m(s, 0);
+    std::vector<Limb> u(s + 1, 0);
+    unsigned __int128 acc = 0;
+    // Lower half: accumulate column i of a*b + m*N, emit m[i], shift.
+    for (std::size_t i = 0; i < s; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        acc += static_cast<unsigned __int128>(a[j]) * b[i - j];
+        acc += static_cast<unsigned __int128>(m[j]) * n_[i - j];
+      }
+      acc += static_cast<unsigned __int128>(a[i]) * b[0];
+      m[i] = static_cast<Limb>(static_cast<Limb>(acc) * n0_inv_);
+      acc += static_cast<unsigned __int128>(m[i]) * n_[0];
+      acc >>= 32;
+    }
+    // Upper half: remaining columns produce the result limbs directly.
+    for (std::size_t i = s; i < 2 * s; ++i) {
+      for (std::size_t j = i - s + 1; j < s; ++j) {
+        acc += static_cast<unsigned __int128>(a[j]) * b[i - j];
+        acc += static_cast<unsigned __int128>(m[j]) * n_[i - j];
+      }
+      u[i - s] = static_cast<Limb>(acc);
+      acc >>= 32;
+    }
+    u[s] = static_cast<Limb>(acc);
+    return Reduced(std::move(u));
+  }
+
+ private:
+  std::vector<Limb> Pad(const BigUInt& v) const {
+    std::vector<Limb> out(n_.size(), 0);
+    for (std::size_t i = 0; i < n_.size(); ++i) out[i] = v.LimbAt(i);
+    return out;
+  }
+
+  /// value (s + 1 limbs, below 2N) minus N when it is at least N.
+  BigUInt Reduced(std::vector<Limb> value) const {
+    const std::size_t s = n_.size();
+    bool geq = value[s] != 0;
+    if (!geq) {
+      geq = true;  // equal until a difference is found
+      for (std::size_t i = s; i-- > 0;) {
+        if (value[i] != n_[i]) {
+          geq = value[i] > n_[i];
+          break;
+        }
+      }
+    }
+    if (geq) {
+      std::int64_t borrow = 0;
+      for (std::size_t i = 0; i < s; ++i) {
+        const std::int64_t diff = static_cast<std::int64_t>(value[i]) -
+                                  static_cast<std::int64_t>(n_[i]) - borrow;
+        borrow = diff < 0 ? 1 : 0;
+        value[i] = static_cast<Limb>(diff & 0xffffffff);
+      }
+    }
+    value.resize(s);  // the overflow limb is gone once value < N
+    return BigUInt::FromLimbs(value);
+  }
+
+  std::vector<Limb> n_;
+  Limb n0_inv_ = 0;
 };
 
 }  // namespace
@@ -73,17 +197,26 @@ int main(int argc, char** argv) {
       mont::bench::KeepAlive((f.x * f.y) % f.n);
     }, window));
     const WordMontgomery ctx(f.n);
+    const KocScans koc(f.n);
+    for (const auto& [x, y] : {std::pair{f.x, f.y}, std::pair{f.y, f.x},
+                               std::pair{f.n - 1, f.n - 1},
+                               std::pair{BigUInt{0}, f.x},
+                               std::pair{ctx.OneMont(), f.y}}) {
+      if (koc.Sos(x, y) != ctx.Multiply(x, y) ||
+          koc.Fips(x, y) != ctx.Multiply(x, y)) {
+        std::fprintf(stderr, "SOS/FIPS disagree with the CIOS kernel at %zu "
+                             "bits\n", bits);
+        return 1;
+      }
+    }
     report("montgomery_cios", bits, mont::bench::TimeIt([&] {
-      mont::bench::KeepAlive(
-          ctx.Multiply(f.x, f.y, WordMontgomery::Variant::kCios));
+      mont::bench::KeepAlive(ctx.Multiply(f.x, f.y));
     }, window));
     report("montgomery_sos", bits, mont::bench::TimeIt([&] {
-      mont::bench::KeepAlive(
-          ctx.Multiply(f.x, f.y, WordMontgomery::Variant::kSos));
+      mont::bench::KeepAlive(koc.Sos(f.x, f.y));
     }, window));
     report("montgomery_fips", bits, mont::bench::TimeIt([&] {
-      mont::bench::KeepAlive(
-          ctx.Multiply(f.x, f.y, WordMontgomery::Variant::kFips));
+      mont::bench::KeepAlive(koc.Fips(f.x, f.y));
     }, window));
   }
 

@@ -1,9 +1,12 @@
 #include "bignum/exp_schedule.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace mont::bignum {
 
 void BuildExpSchedule(ExpMode mode, const BigUInt& exponent,
-                      std::vector<ExpStep>* steps) {
+                      std::vector<ExpStep>* steps, std::size_t window_bits) {
   using enum ExpSlot;
   steps->clear();
   const std::size_t bits = exponent.BitLength();
@@ -51,7 +54,46 @@ void BuildExpSchedule(ExpMode mode, const BigUInt& exponent,
       }
       push(kA, kA, kOne, ExpOp::kDomain);
       return;
+    case ExpMode::kFixedWindow: {
+      if (window_bits < 1 || window_bits > kMaxWindowBits) {
+        throw std::invalid_argument("BuildExpSchedule: window_bits out of range");
+      }
+      const std::size_t entries = std::size_t{1} << window_bits;
+      const std::size_t windows = (bits + window_bits - 1) / window_bits;
+      steps->reserve(entries + windows * (window_bits + 1) + 1);
+      push(kMont, kBase, kR2, ExpOp::kDomain);
+      push(TableSlot(0), kOne, kR2, ExpOp::kDomain);
+      for (std::size_t i = 1; i < entries; ++i) {
+        push(TableSlot(i), TableSlot(i - 1), kMont, ExpOp::kMultiply);
+      }
+      const auto digit = [&](std::size_t window) {
+        std::size_t d = 0;
+        for (std::size_t b = window_bits; b-- > 0;) {
+          d = (d << 1) | (exponent.Bit(window * window_bits + b) ? 1 : 0);
+        }
+        return TableSlot(d);
+      };
+      push(kA, TableSlot(0), digit(windows - 1), ExpOp::kMultiply);
+      for (std::size_t window = windows - 1; window-- > 0;) {
+        for (std::size_t b = 0; b < window_bits; ++b) {
+          push(kA, kA, kA, ExpOp::kSquare);
+        }
+        push(kA, kA, digit(window), ExpOp::kMultiply);
+      }
+      push(kA, kA, kOne, ExpOp::kDomain);
+      return;
+    }
   }
+}
+
+std::size_t ExpRegisterCount(std::span<const ExpStep> steps) {
+  std::size_t count = kExpSlotCount;
+  for (const ExpStep& step : steps) {
+    for (const ExpSlot slot : {step.dst, step.x, step.y}) {
+      count = std::max(count, static_cast<std::size_t>(slot) + 1);
+    }
+  }
+  return count;
 }
 
 std::vector<bool> RecoverExponentFromTrace(std::span<const ExpStep> steps) {

@@ -4,15 +4,16 @@
 // The paper's §4.5 exponentiator is a fixed chain of MMMs: the
 // pre-computation Mont(M, R^2), a squaring per scanned exponent bit plus a
 // multiply by M~ per set bit (Algorithm 3), and the post-processing
-// Mont(A, 1).  BuildExpSchedule writes that chain, or one of the two other
-// orders the tree uses, as steps over a fixed set of registers.  Every
-// exponentiator executes such a schedule with its own multiplier (software
-// Algorithm 2 or CIOS, the cycle-accurate arrays, the gate-level netlist)
+// Mont(A, 1).  BuildExpSchedule writes that chain, or one of the three
+// other orders the tree uses (right to left, the ladder, and the fixed
+// window that key generation's Miller-Rabin runs on the 64-bit CIOS
+// kernel), as steps over a fixed set of registers.  Every exponentiator
+// executes such a schedule with its own multiplier (software Algorithm 2
+// or CIOS, the cycle-accurate arrays, the gate-level netlist)
 // and takes its operation counts from the steps, so the exponent-to-steps
 // decision is made here and nowhere else.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -31,8 +32,21 @@ enum class ExpSlot : std::uint8_t {
   kBase,  ///< input: the reduced base M
   kR2,    ///< input: R^2 mod N, the domain-entry factor
   kOne,   ///< input: the constant 1
+  /// First window-table entry: kTable + i holds M~^i (kFixedWindow).
+  kTable,
 };
+/// Registers every schedule may use; window-table entries come after them.
 inline constexpr std::size_t kExpSlotCount = 6;
+/// Widest window kFixedWindow accepts: a table of 2^6 entries.
+inline constexpr std::size_t kMaxWindowBits = 6;
+
+/// Window-table entry i (0 <= i < 2^kMaxWindowBits).
+constexpr ExpSlot TableSlot(std::size_t i) {
+  return static_cast<ExpSlot>(kExpSlotCount + i);
+}
+constexpr bool IsTableSlot(ExpSlot slot) {
+  return static_cast<std::size_t>(slot) >= kExpSlotCount;
+}
 
 /// What an observer of the MMM sequence (simple power analysis) sees.
 enum class ExpOp : std::uint8_t {
@@ -66,12 +80,29 @@ enum class ExpMode : std::uint8_t {
   /// multiply and one squaring, so the operation sequence is the same for
   /// all exponents of one bit length.
   kLadder,
+  /// Fixed window of w bits, left to right: M~ <- Mont(M, R^2), the table
+  /// T[0] <- Mont(1, R^2), T[i] <- Mont(T[i-1], M~) for i < 2^w; the top
+  /// window is A <- Mont(T[0], T[d]); per lower window w squarings of A and
+  /// one A <- A * T[d], digit 0 included; A <- Mont(A, 1).  The operation
+  /// sequence depends only on the exponent's bit length.  Table entries
+  /// are read as x only at fixed positions while the table is built; a
+  /// window's entry is always the y operand, so a constant-time executor
+  /// fetches every y table entry by scanning the whole table.
+  kFixedWindow,
 };
 
+/// The window width the word-level kernel's ModExp runs kFixedWindow at.
+inline constexpr std::size_t kDefaultWindowBits = 5;
+
 /// Replaces *steps with the schedule of `mode` for `exponent`, reusing the
-/// buffer's capacity.  Exponent 0 gives an empty schedule.
+/// buffer's capacity.  Exponent 0 gives an empty schedule.  `window_bits`
+/// (1..kMaxWindowBits) is kFixedWindow's w; the other modes ignore it.
 void BuildExpSchedule(ExpMode mode, const BigUInt& exponent,
-                      std::vector<ExpStep>* steps);
+                      std::vector<ExpStep>* steps,
+                      std::size_t window_bits = kDefaultWindowBits);
+
+/// Registers `steps` touches: kExpSlotCount plus the window table's size.
+std::size_t ExpRegisterCount(std::span<const ExpStep> steps);
 
 /// The simple-power-analysis reading of a schedule's square/multiply
 /// sequence (domain steps are skipped): a squaring followed by a multiply
@@ -84,14 +115,15 @@ std::vector<bool> RecoverExponentFromTrace(std::span<const ExpStep> steps);
 /// Runs a schedule over registers of type Value (one BigUInt, or one value
 /// per lane): each step stores multiply(x, y) in dst.  Run() executes every
 /// step; executors that issue two steps at once take them one at a time
-/// through Remaining()/X()/Y()/Consume().
+/// through Remaining()/X()/Y()/Consume().  Table entries are indexed
+/// directly, so this executor is a reference, not a constant-time one.
 template <class Value>
 class ExpExecutor {
  public:
   /// `steps` must outlive the executor.  A starts at `one`, so the empty
   /// schedule of exponent 0 leaves 1 as the result.
   ExpExecutor(std::span<const ExpStep> steps, Value base, Value r2, Value one)
-      : steps_(steps) {
+      : steps_(steps), slots_(ExpRegisterCount(steps)) {
     slots_[Index(ExpSlot::kA)] = one;
     slots_[Index(ExpSlot::kBase)] = std::move(base);
     slots_[Index(ExpSlot::kR2)] = std::move(r2);
@@ -128,7 +160,7 @@ class ExpExecutor {
 
   std::span<const ExpStep> steps_;
   std::size_t next_ = 0;
-  std::array<Value, kExpSlotCount> slots_{};
+  std::vector<Value> slots_;
 };
 
 }  // namespace mont::bignum

@@ -1,8 +1,9 @@
 #include "bignum/montgomery.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
-
-#include "bignum/exp_schedule.hpp"
+#include <utility>
 
 namespace mont::bignum {
 
@@ -70,188 +71,167 @@ BigUInt BitSerialMontgomery::FromMont(const BigUInt& x) const {
 // WordMontgomery
 // ---------------------------------------------------------------------------
 
+namespace {
+
+using Word = WordMontgomery::Word;
+using Wide = unsigned __int128;
+
+/// Word counts with their own fixed-width kernel (moduli up to 2048 bits);
+/// wider moduli run the same body with a runtime word count.
+constexpr std::size_t kFixedWords = 32;
+
+/// CIOS (Koç, Acar & Kaliski): per word x[i], t += x[i]*y, then
+/// t = (t + m*N) / 2^64 with m = t[0]*n0_inv mod 2^64, so t stays below 2N
+/// in k+1 words.  With half_top the last word of x is below 2^32 and the
+/// last reduction divides by 2^32, making R = 2^(64k - 32).  The final
+/// subtraction of N is selected by a mask.  No branch or address depends
+/// on an operand value.  K > 0 fixes the word count at compile time and
+/// keeps t on the stack; K == 0 reads it from k and uses `scratch`.
+template <std::size_t K>
+void CiosKernel(const Word* n, Word n0_inv, std::size_t k_runtime,
+                bool half_top, Word* out, const Word* x, const Word* y,
+                Word* scratch) {
+  const std::size_t k = K != 0 ? K : k_runtime;
+  Word local[K != 0 ? K + 2 : 1];
+  Word* const t = K != 0 ? local : scratch;
+  for (std::size_t j = 0; j < k + 2; ++j) t[j] = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    Word carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Wide v = static_cast<Wide>(x[i]) * y[j] + t[j] + carry;
+      t[j] = static_cast<Word>(v);
+      carry = static_cast<Word>(v >> 64);
+    }
+    Wide v = static_cast<Wide>(t[k]) + carry;
+    t[k] = static_cast<Word>(v);
+    t[k + 1] = static_cast<Word>(v >> 64);
+
+    if (half_top && i + 1 == k) {
+      // A 32-bit reduction digit: t = (t + m*N) / 2^32.
+      const Word m = static_cast<std::uint32_t>(t[0] * n0_inv);
+      carry = 0;
+      for (std::size_t j = 0; j < k; ++j) {
+        v = static_cast<Wide>(m) * n[j] + t[j] + carry;
+        t[j] = static_cast<Word>(v);
+        carry = static_cast<Word>(v >> 64);
+      }
+      v = static_cast<Wide>(t[k]) + carry;
+      t[k] = static_cast<Word>(v);
+      t[k + 1] += static_cast<Word>(v >> 64);
+      for (std::size_t j = 0; j <= k; ++j) {
+        t[j] = (t[j] >> 32) | (t[j + 1] << 32);
+      }
+      break;
+    }
+    const Word m = t[0] * n0_inv;
+    v = static_cast<Wide>(m) * n[0] + t[0];
+    carry = static_cast<Word>(v >> 64);
+    for (std::size_t j = 1; j < k; ++j) {
+      v = static_cast<Wide>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<Word>(v);
+      carry = static_cast<Word>(v >> 64);
+    }
+    v = static_cast<Wide>(t[k]) + carry;
+    t[k - 1] = static_cast<Word>(v);
+    t[k] = t[k + 1] + static_cast<Word>(v >> 64);
+  }
+
+  // t < 2N: out = t - N, then keep t instead where that borrowed.
+  Word borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const Wide d = static_cast<Wide>(t[j]) - n[j] - borrow;
+    out[j] = static_cast<Word>(d);
+    borrow = static_cast<Word>(d >> 64) & 1;
+  }
+  const Word keep_t = 0 - (borrow & ~t[k] & 1);
+  for (std::size_t j = 0; j < k; ++j) {
+    out[j] = (t[j] & keep_t) | (out[j] & ~keep_t);
+  }
+}
+
+template <std::size_t... I>
+constexpr auto FixedKernels(std::index_sequence<I...>) {
+  return std::array<void (*)(const Word*, Word, std::size_t, bool, Word*,
+                             const Word*, const Word*, Word*),
+                    sizeof...(I)>{&CiosKernel<I + 1>...};
+}
+
+/// out = table[index], reading all `entries` entries of k words and
+/// combining them under masks, so the address sequence is independent of
+/// the index.
+void SelectEntry(const Word* table, std::size_t entries, std::size_t k,
+                 std::size_t index, Word* out) {
+  std::fill(out, out + k, Word{0});
+  for (std::size_t e = 0; e < entries; ++e) {
+    const Word mask = 0 - ((static_cast<Word>(e ^ index) - 1) >> 63);
+    for (std::size_t j = 0; j < k; ++j) out[j] |= table[e * k + j] & mask;
+  }
+}
+
+}  // namespace
+
 WordMontgomery::WordMontgomery(BigUInt modulus) : modulus_(std::move(modulus)) {
   if (!modulus_.IsOdd() || modulus_ <= BigUInt{1}) {
     throw std::invalid_argument("WordMontgomery: modulus must be odd > 1");
   }
-  n_.assign(modulus_.Limbs().begin(), modulus_.Limbs().end());
+  const std::size_t s = modulus_.LimbCount();
+  n_.resize((s + 1) / 2);
+  ToWords(modulus_, n_);
+  half_top_ = s % 2 == 1;
 
-  // n'_0 = -N^-1 mod 2^32 via Newton iteration on the 2-adic inverse:
-  // inv *= 2 - n0*inv doubles the number of correct low bits each step.
-  const Limb n0 = n_[0];
-  Limb inv = 1;
-  for (int iter = 0; iter < 5; ++iter) {
-    inv = static_cast<Limb>(inv * (2u - n0 * inv));
-  }
-  n_prime_0_ = static_cast<Limb>(0u - inv);
+  // -N^-1 mod 2^64 by Newton iteration on the 2-adic inverse: n0 is its
+  // own inverse mod 8, and inv *= 2 - n0*inv doubles the correct low bits.
+  const Word n0 = n_[0];
+  Word inv = n0;
+  for (int iter = 0; iter < 5; ++iter) inv *= 2 - n0 * inv;
+  n0_inv_ = 0 - inv;
 
-  const BigUInt r = BigUInt::PowerOfTwo(32 * n_.size());
-  r_mod_n_ = r % modulus_;
-  r2_mod_n_ = (r_mod_n_ * r_mod_n_) % modulus_;
-  one_mont_ = r_mod_n_;
+  static constexpr auto kKernels =
+      FixedKernels(std::make_index_sequence<kFixedWords>{});
+  kernel_ = n_.size() <= kFixedWords ? kKernels[n_.size() - 1]
+                                     : &CiosKernel<0>;
+
+  one_mont_ = BigUInt::PowerOfTwo(32 * s) % modulus_;
+  r2_mod_n_ = (one_mont_ * one_mont_) % modulus_;
+  r2_words_.resize(n_.size());
+  ToWords(r2_mod_n_, r2_words_);
 }
 
-std::vector<WordMontgomery::Limb> WordMontgomery::PadToLimbs(
-    const BigUInt& v) const {
-  std::vector<Limb> out(n_.size(), 0);
-  for (std::size_t i = 0; i < n_.size(); ++i) out[i] = v.LimbAt(i);
-  return out;
+void WordMontgomery::ToWords(const BigUInt& v, std::span<Word> out) {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = Word{v.LimbAt(2 * j)} | Word{v.LimbAt(2 * j + 1)} << 32;
+  }
 }
 
-void WordMontgomery::ConditionalSubtract(std::vector<Limb>& value,
-                                         std::span<const Limb> modulus) {
-  // value has modulus.size() + 1 limbs (top limb is the CIOS/SOS overflow).
-  // Subtract modulus when value >= modulus.
-  const std::size_t s = modulus.size();
-  bool geq = value[s] != 0;
-  if (!geq) {
-    geq = true;  // assume equal until a difference is found
-    for (std::size_t i = s; i-- > 0;) {
-      if (value[i] != modulus[i]) {
-        geq = value[i] > modulus[i];
-        break;
-      }
-    }
+BigUInt WordMontgomery::FromWords(std::span<const Word> words) {
+  std::vector<BigUInt::Limb> limbs(2 * words.size());
+  for (std::size_t j = 0; j < words.size(); ++j) {
+    limbs[2 * j] = static_cast<BigUInt::Limb>(words[j]);
+    limbs[2 * j + 1] = static_cast<BigUInt::Limb>(words[j] >> 32);
   }
-  if (!geq) {
-    value.resize(s);
-    return;
-  }
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(value[i]) -
-                        static_cast<std::int64_t>(modulus[i]) - borrow;
-    borrow = diff < 0 ? 1 : 0;
-    value[i] = static_cast<Limb>(diff & 0xffffffff);
-  }
-  value.resize(s);
+  return BigUInt::FromLimbs(limbs);
 }
 
-std::vector<WordMontgomery::Limb> WordMontgomery::MultiplyCios(
-    std::span<const Limb> a, std::span<const Limb> b) const {
-  const std::size_t s = n_.size();
-  std::vector<Limb> t(s + 2, 0);
-  for (std::size_t i = 0; i < s; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const std::uint64_t v =
-          static_cast<std::uint64_t>(a[i]) * b[j] + t[j] + carry;
-      t[j] = static_cast<Limb>(v);
-      carry = v >> 32;
-    }
-    std::uint64_t v = static_cast<std::uint64_t>(t[s]) + carry;
-    t[s] = static_cast<Limb>(v);
-    t[s + 1] = static_cast<Limb>(v >> 32);
-
-    // m = t[0] * n'_0 mod 2^32; t = (t + m*N) / 2^32
-    const Limb m = static_cast<Limb>(t[0] * n_prime_0_);
-    carry = (static_cast<std::uint64_t>(m) * n_[0] + t[0]) >> 32;
-    for (std::size_t j = 1; j < s; ++j) {
-      const std::uint64_t w =
-          static_cast<std::uint64_t>(m) * n_[j] + t[j] + carry;
-      t[j - 1] = static_cast<Limb>(w);
-      carry = w >> 32;
-    }
-    v = static_cast<std::uint64_t>(t[s]) + carry;
-    t[s - 1] = static_cast<Limb>(v);
-    t[s] = t[s + 1] + static_cast<Limb>(v >> 32);
-    t[s + 1] = 0;
-  }
-  t.resize(s + 1);
-  ConditionalSubtract(t, n_);
-  return t;
+void WordMontgomery::MultiplyWords(std::span<Word> out,
+                                   std::span<const Word> x,
+                                   std::span<const Word> y,
+                                   std::span<Word> scratch) const {
+  Mul(out.data(), x.data(), y.data(), scratch.data());
 }
 
-std::vector<WordMontgomery::Limb> WordMontgomery::MultiplySos(
-    std::span<const Limb> a, std::span<const Limb> b) const {
-  const std::size_t s = n_.size();
-  // Phase 1: full double-width product.
-  std::vector<Limb> t(2 * s + 1, 0);
-  for (std::size_t i = 0; i < s; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const std::uint64_t v =
-          static_cast<std::uint64_t>(a[i]) * b[j] + t[i + j] + carry;
-      t[i + j] = static_cast<Limb>(v);
-      carry = v >> 32;
-    }
-    t[i + s] = static_cast<Limb>(carry);
-  }
-  // Phase 2: interleaved reduction, one limb of m per outer step.
-  for (std::size_t i = 0; i < s; ++i) {
-    const Limb m = static_cast<Limb>(t[i] * n_prime_0_);
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const std::uint64_t v =
-          static_cast<std::uint64_t>(m) * n_[j] + t[i + j] + carry;
-      t[i + j] = static_cast<Limb>(v);
-      carry = v >> 32;
-    }
-    // Propagate the carry up through the remaining limbs.
-    for (std::size_t j = i + s; carry != 0 && j < t.size(); ++j) {
-      const std::uint64_t v = static_cast<std::uint64_t>(t[j]) + carry;
-      t[j] = static_cast<Limb>(v);
-      carry = v >> 32;
-    }
-  }
-  // Phase 3: divide by R = 2^(32 s) and reduce.
-  std::vector<Limb> u(t.begin() + static_cast<std::ptrdiff_t>(s), t.end());
-  ConditionalSubtract(u, n_);
-  return u;
-}
-
-std::vector<WordMontgomery::Limb> WordMontgomery::MultiplyFips(
-    std::span<const Limb> a, std::span<const Limb> b) const {
-  const std::size_t s = n_.size();
-  std::vector<Limb> m(s, 0);
-  std::vector<Limb> u(s + 1, 0);
-  unsigned __int128 acc = 0;
-  // Lower half: accumulate column i of a*b + m*N, emit m[i], shift.
-  for (std::size_t i = 0; i < s; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      acc += static_cast<unsigned __int128>(a[j]) * b[i - j];
-      acc += static_cast<unsigned __int128>(m[j]) * n_[i - j];
-    }
-    acc += static_cast<unsigned __int128>(a[i]) * b[0];
-    m[i] = static_cast<Limb>(static_cast<Limb>(acc) * n_prime_0_);
-    acc += static_cast<unsigned __int128>(m[i]) * n_[0];
-    acc >>= 32;
-  }
-  // Upper half: remaining columns produce the result limbs directly.
-  for (std::size_t i = s; i < 2 * s; ++i) {
-    for (std::size_t j = i - s + 1; j < s; ++j) {
-      acc += static_cast<unsigned __int128>(a[j]) * b[i - j];
-      acc += static_cast<unsigned __int128>(m[j]) * n_[i - j];
-    }
-    u[i - s] = static_cast<Limb>(acc);
-    acc >>= 32;
-  }
-  u[s] = static_cast<Limb>(acc);
-  ConditionalSubtract(u, n_);
-  return u;
-}
-
-BigUInt WordMontgomery::Multiply(const BigUInt& x, const BigUInt& y,
-                                 Variant variant) const {
+BigUInt WordMontgomery::Multiply(const BigUInt& x, const BigUInt& y) const {
   if (x >= modulus_ || y >= modulus_) {
     throw std::invalid_argument("WordMontgomery::Multiply: inputs must be < N");
   }
-  const std::vector<Limb> a = PadToLimbs(x);
-  const std::vector<Limb> b = PadToLimbs(y);
-  std::vector<Limb> out;
-  switch (variant) {
-    case Variant::kCios:
-      out = MultiplyCios(a, b);
-      break;
-    case Variant::kSos:
-      out = MultiplySos(a, b);
-      break;
-    case Variant::kFips:
-      out = MultiplyFips(a, b);
-      break;
-  }
-  return BigUInt::FromLimbs(out);
+  const std::size_t k = WordCount();
+  std::vector<Word> words(3 * k + ScratchWords());
+  Word* const a = words.data();
+  Word* const b = a + k;
+  Word* const out = b + k;
+  ToWords(x, {a, k});
+  ToWords(y, {b, k});
+  Mul(out, a, b, out + k);
+  return FromWords({out, k});
 }
 
 BigUInt WordMontgomery::ToMont(const BigUInt& x) const {
@@ -262,15 +242,39 @@ BigUInt WordMontgomery::FromMont(const BigUInt& x) const {
   return Multiply(x, BigUInt{1});
 }
 
-BigUInt WordMontgomery::ModExp(const BigUInt& base, const BigUInt& exponent,
-                               Variant variant) const {
+BigUInt WordMontgomery::RunSchedule(std::span<const ExpStep> steps,
+                                    const BigUInt& base) const {
+  const std::size_t k = WordCount();
+  const std::size_t registers = ExpRegisterCount(steps);
+  // The registers, one fetched table entry, the kernel's scratch.
+  std::vector<Word> words((registers + 1) * k + ScratchWords());
+  const auto reg = [&](ExpSlot slot) {
+    return words.data() + static_cast<std::size_t>(slot) * k;
+  };
+  Word* const fetched = words.data() + registers * k;
+  Word* const scratch = fetched + k;
+  ToWords(base < modulus_ ? base : base % modulus_, {reg(ExpSlot::kBase), k});
+  std::copy(r2_words_.begin(), r2_words_.end(), reg(ExpSlot::kR2));
+  reg(ExpSlot::kOne)[0] = 1;
+  reg(ExpSlot::kA)[0] = 1;
+  for (const ExpStep& step : steps) {
+    const Word* y = fetched;
+    if (IsTableSlot(step.y)) {
+      SelectEntry(reg(TableSlot(0)), registers - kExpSlotCount, k,
+                  static_cast<std::size_t>(step.y) - kExpSlotCount, fetched);
+    } else {
+      y = reg(step.y);
+    }
+    Mul(reg(step.dst), reg(step.x), y, scratch);
+  }
+  return FromWords({reg(ExpSlot::kA), k});
+}
+
+BigUInt WordMontgomery::ModExp(const BigUInt& base,
+                               const BigUInt& exponent) const {
   std::vector<ExpStep> steps;
-  BuildExpSchedule(ExpMode::kAlg3, exponent, &steps);
-  ExpExecutor<BigUInt> run(steps, base % modulus_, r2_mod_n_, BigUInt{1});
-  run.Run([&](const BigUInt& x, const BigUInt& y) {
-    return Multiply(x, y, variant);
-  });
-  return run.Result();
+  BuildExpSchedule(ExpMode::kFixedWindow, exponent, &steps);
+  return RunSchedule(steps, base);
 }
 
 }  // namespace mont::bignum

@@ -1,5 +1,5 @@
-// montgomery.hpp — software reference implementations of Montgomery modular
-// multiplication, exactly as specified in the paper.
+// montgomery.hpp — software Montgomery modular multiplication: the paper's
+// radix-2 algorithms and the word-level kernel everything fast runs on.
 //
 // Two layers are provided:
 //
@@ -10,15 +10,21 @@
 //    against.  Exponentiation over them runs the shared §4.5 schedule
 //    (bignum/exp_schedule.hpp).
 //
-//  * WordMontgomery — word-level (2^32 radix) CIOS / SOS / FIPS variants as
-//    classified by Koç, Acar & Kaliski.  These serve as software baselines in
-//    bench_software and as the fast arithmetic behind the crypto layer.
+//  * WordMontgomery — one fixed-width, allocation-free CIOS kernel over
+//    64-bit limbs (Koç, Acar & Kaliski's coarsely integrated operand
+//    scanning), instantiated per limb count, with n0' and R^2 computed once
+//    per modulus and a masked final subtraction.  Its ModExp executes the
+//    ExpMode::kFixedWindow schedule with a masked-scan table read; RSA key
+//    generation's Miller-Rabin rounds and the word-mont engine run on it.
+//    SOS and FIPS survive only as bench_software's comparison.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bignum/biguint.hpp"
+#include "bignum/exp_schedule.hpp"
 
 namespace mont::bignum {
 
@@ -64,57 +70,77 @@ class BitSerialMontgomery {
   BigUInt r2_;
 };
 
-/// Word-level Montgomery multiplication (radix 2^32) for an odd modulus.
-/// Values are kept in [0, N); R = 2^(32*s) where s is the limb count of N.
+/// Word-level Montgomery multiplication for an odd modulus N of s 32-bit
+/// limbs.  Values are kept in [0, N); R = 2^(32*s).  Internally N is
+/// k = ceil(s/2) 64-bit words; when s is odd the kernel's last reduction
+/// digit is 32 bits wide, so R stays 2^(32*s).  BigUInt appears only at the
+/// API boundary; the kernel and the word API below never allocate.
 class WordMontgomery {
  public:
-  enum class Variant {
-    kCios,  ///< Coarsely Integrated Operand Scanning (default).
-    kSos,   ///< Separated Operand Scanning.
-    kFips,  ///< Finely Integrated Product Scanning.
-  };
+  using Word = std::uint64_t;
 
   /// Requires an odd modulus > 1; throws std::invalid_argument otherwise.
   explicit WordMontgomery(BigUInt modulus);
 
   const BigUInt& Modulus() const { return modulus_; }
-  std::size_t LimbCount() const { return n_.size(); }
+  /// s, the modulus's 32-bit limb count: R = 2^(32 s).
+  std::size_t LimbCount() const { return modulus_.LimbCount(); }
   /// R mod N (the Montgomery representation of 1).
   const BigUInt& OneMont() const { return one_mont_; }
   /// R^2 mod N, the domain-entry factor: ToMont(x) == Multiply(x, R^2).
   const BigUInt& RSquaredModN() const { return r2_mod_n_; }
 
   /// Montgomery product x*y*R^-1 mod N for x, y in [0, N).
-  BigUInt Multiply(const BigUInt& x, const BigUInt& y,
-                   Variant variant = Variant::kCios) const;
+  BigUInt Multiply(const BigUInt& x, const BigUInt& y) const;
 
   BigUInt ToMont(const BigUInt& x) const;
   BigUInt FromMont(const BigUInt& x) const;
 
-  /// base^exponent mod N: the §4.5 schedule (ExpMode::kAlg3) executed
-  /// over Multiply with the chosen variant.
-  BigUInt ModExp(const BigUInt& base, const BigUInt& exponent,
-                 Variant variant = Variant::kCios) const;
+  /// base^exponent mod N: ExpMode::kFixedWindow (kDefaultWindowBits)
+  /// executed on the kernel.
+  BigUInt ModExp(const BigUInt& base, const BigUInt& exponent) const;
+
+  /// Executes `steps` (any ExpMode) on the kernel from base mod N and
+  /// returns register A, which the schedule's domain exit leaves in [0, N).
+  /// A y operand in the window table is fetched by a masked scan of every
+  /// entry, so neither a step's digit nor an operand value selects a
+  /// branch or a memory address.
+  BigUInt RunSchedule(std::span<const ExpStep> steps,
+                      const BigUInt& base) const;
+
+  // -- the word API: operands of WordCount() words, least significant first
+
+  /// k, the modulus's 64-bit word count.
+  std::size_t WordCount() const { return n_.size(); }
+  /// Scratch words MultiplyWords needs.
+  std::size_t ScratchWords() const { return n_.size() + 2; }
+  /// out = x*y*R^-1 mod N for x, y in [0, N); out may alias x or y.
+  void MultiplyWords(std::span<Word> out, std::span<const Word> x,
+                     std::span<const Word> y, std::span<Word> scratch) const;
+  /// Writes v (< 2^(64 out.size())) as out.size() words.
+  static void ToWords(const BigUInt& v, std::span<Word> out);
+  static BigUInt FromWords(std::span<const Word> words);
 
  private:
-  using Limb = BigUInt::Limb;
+  /// The CIOS kernel for one word count: n, -N^-1 mod 2^64, k, whether the
+  /// last reduction digit is 32 bits, then out, x, y and k + 2 scratch
+  /// words.
+  using Kernel = void (*)(const Word* n, Word n0_inv, std::size_t k,
+                          bool half_top, Word* out, const Word* x,
+                          const Word* y, Word* scratch);
 
-  std::vector<Limb> MultiplyCios(std::span<const Limb> a,
-                                 std::span<const Limb> b) const;
-  std::vector<Limb> MultiplySos(std::span<const Limb> a,
-                                std::span<const Limb> b) const;
-  std::vector<Limb> MultiplyFips(std::span<const Limb> a,
-                                 std::span<const Limb> b) const;
-  std::vector<Limb> PadToLimbs(const BigUInt& v) const;
-  static void ConditionalSubtract(std::vector<Limb>& value,
-                                  std::span<const Limb> modulus);
+  void Mul(Word* out, const Word* x, const Word* y, Word* scratch) const {
+    kernel_(n_.data(), n0_inv_, n_.size(), half_top_, out, x, y, scratch);
+  }
 
   BigUInt modulus_;
-  std::vector<Limb> n_;     // modulus limbs, padded form
-  Limb n_prime_0_ = 0;      // -N^-1 mod 2^32
-  BigUInt r_mod_n_;
+  std::vector<Word> n_;      // modulus words
+  Word n0_inv_ = 0;          // -N^-1 mod 2^64
+  bool half_top_ = false;    // s odd: the last reduction digit is 32 bits
+  Kernel kernel_ = nullptr;  // CIOS instantiated for WordCount()
   BigUInt r2_mod_n_;
   BigUInt one_mont_;
+  std::vector<Word> r2_words_;  // R^2 mod N as words
 };
 
 }  // namespace mont::bignum

@@ -135,18 +135,24 @@ BigUInt MmmEngine::ModExp(const BigUInt& base, const BigUInt& exponent,
                           EngineStats* stats) const {
   std::vector<bignum::ExpStep> steps;
   bignum::BuildExpSchedule(bignum::ExpMode::kAlg3, exponent, &steps);
-  bignum::ExpExecutor<BigUInt> run(steps, Reduce(base), MontFactor(),
-                                   BigUInt{1});
   std::uint64_t cycles = 0;
-  run.Run([&](const BigUInt& x, const BigUInt& y) {
-    return Multiply(x, y, &cycles);
-  });
+  BigUInt result = RunSchedule(steps, Reduce(base), cycles);
   if (stats != nullptr) {
     EngineStats local = ScheduleStats(steps, l_);
     local.engine_cycles = cycles;
     *stats += local;
   }
-  return Reduce(run.Result());
+  return Reduce(std::move(result));
+}
+
+BigUInt MmmEngine::RunSchedule(std::span<const bignum::ExpStep> steps,
+                               const BigUInt& base,
+                               std::uint64_t& cycles) const {
+  bignum::ExpExecutor<BigUInt> run(steps, base, MontFactor(), BigUInt{1});
+  run.Run([&](const BigUInt& x, const BigUInt& y) {
+    return Multiply(x, y, &cycles);
+  });
+  return run.Result();
 }
 
 // ---------------------------------------------------------------------------
@@ -210,9 +216,13 @@ class Gf2BitSerialEngine final : public MmmEngine {
   BigUInt factor_;
 };
 
-/// "word-mont" — word-level (radix 2^32) CIOS software baseline; the only
-/// backend whose chainable window is [0, N).  Cycle model counts word-MAC
-/// operations of the coarsely-integrated scan, not array clocks.
+/// "word-mont" — the software word-level backend: bignum::WordMontgomery's
+/// 64-bit-limb CIOS kernel (the one key generation runs on), and the only
+/// backend whose chainable window is [0, N).  ModExp runs the kAlg3 steps
+/// on the kernel's own word executor, with no BigUInt per step (the kernel
+/// also has ExpMode::kFixedWindow, which WordMontgomery::ModExp uses).  The
+/// cycle model counts the word MACs of a radix-2^32 coarsely integrated
+/// scan, 2s^2+s for s 32-bit limbs, not array clocks.
 class WordMontEngine final : public MmmEngine {
  public:
   explicit WordMontEngine(BigUInt modulus)
@@ -234,6 +244,13 @@ class WordMontEngine final : public MmmEngine {
   }
 
  private:
+  BigUInt RunSchedule(std::span<const bignum::ExpStep> steps,
+                      const BigUInt& base,
+                      std::uint64_t& cycles) const override {
+    cycles += steps.size() * MultiplyCyclesModel();
+    return ctx_.RunSchedule(steps, base);
+  }
+
   bignum::WordMontgomery ctx_;
 };
 
@@ -505,7 +522,7 @@ EngineRegistry::EngineRegistry() {
               return std::make_unique<GfpBitSerialEngine>(std::move(modulus));
             }});
   Register("word-mont",
-           {"word-level (radix 2^32) CIOS software baseline, window [0, N)",
+           {"word-level CIOS software kernel (64-bit limbs), window [0, N)",
             {},
             [](BigUInt modulus, const EngineOptions& options) {
               RequireGfp(options, "word-mont");

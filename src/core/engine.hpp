@@ -165,8 +165,8 @@ class MmmEngine {
   bignum::BigUInt Reduce(bignum::BigUInt v) const;
 
   /// base^exponent fully reduced: the §4.5 schedule (ExpMode::kAlg3,
-  /// Montgomery pre-/post-processing around Algorithm 3) executed over
-  /// Multiply — the same flow for every backend and both fields (for
+  /// Montgomery pre-/post-processing around Algorithm 3) executed by
+  /// RunSchedule — the same flow for every backend and both fields (for
   /// GF(2^m) this is field exponentiation, e.g. Fermat inversion
   /// a^(2^m-2)).  `stats` gains the schedule's counts and the measured or
   /// modelled engine_cycles.
@@ -175,6 +175,14 @@ class MmmEngine {
                          EngineStats* stats = nullptr) const;
 
  protected:
+  /// Executes `steps` from the reduced base and returns register A, adding
+  /// each multiplication's cycles to `cycles`.  The default runs
+  /// ExpExecutor<BigUInt> over Multiply; a backend with its own word-level
+  /// executor overrides it.
+  virtual bignum::BigUInt RunSchedule(std::span<const bignum::ExpStep> steps,
+                                      const bignum::BigUInt& base,
+                                      std::uint64_t& cycles) const;
+
   MmmEngine(bignum::BigUInt modulus, EngineField field,
             std::size_t operand_length, bignum::BigUInt operand_bound)
       : modulus_(std::move(modulus)),

@@ -2,10 +2,12 @@
 // mode executed over Algorithm 2 agrees with plain modular exponentiation,
 // the step sequences follow the paper's §4.5 flow and the known operation
 // counts, and the SPA reading of the schedules shows the leakage
-// difference between left-to-right binary and the Montgomery ladder.
+// difference between left-to-right binary and the Montgomery ladder or the
+// fixed window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "bignum/biguint.hpp"
@@ -40,13 +42,19 @@ std::vector<ExpOp> MainLoopOps(const std::vector<ExpStep>& steps) {
 // The suite's parameter keeps the numbering of the exponentiation
 // algorithms this suite has always covered (2 was the sliding window,
 // which no caller uses any more), so the parameterized test ids stay put.
-enum class Algorithm { kLeftToRight = 0, kRightToLeft = 1, kLadder = 3 };
+enum class Algorithm {
+  kLeftToRight = 0,
+  kRightToLeft = 1,
+  kLadder = 3,
+  kFixedWindow = 4,
+};
 
 ExpMode ModeOf(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kLeftToRight: return ExpMode::kAlg3;
     case Algorithm::kRightToLeft: return ExpMode::kRightToLeft;
     case Algorithm::kLadder: return ExpMode::kLadder;
+    case Algorithm::kFixedWindow: return ExpMode::kFixedWindow;
   }
   return ExpMode::kAlg3;
 }
@@ -85,12 +93,13 @@ TEST_P(AllAlgorithms, EdgeExponents) {
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, AllAlgorithms,
     ::testing::Values(Algorithm::kLeftToRight, Algorithm::kRightToLeft,
-                      Algorithm::kLadder),
+                      Algorithm::kLadder, Algorithm::kFixedWindow),
     [](const auto& info) {
       switch (info.param) {
         case Algorithm::kLeftToRight: return "LeftToRight";
         case Algorithm::kRightToLeft: return "RightToLeft";
         case Algorithm::kLadder: return "MontgomeryLadder";
+        case Algorithm::kFixedWindow: return "FixedWindow";
       }
       return "unknown";
     });
@@ -112,6 +121,38 @@ TEST(ExpSchedule, Alg3IsThePaperFlow) {
   const std::vector<ExpStep> one = {{kMont, kBase, kR2, ExpOp::kDomain},
                                     {kA, kMont, kOne, ExpOp::kDomain}};
   EXPECT_EQ(Schedule(ExpMode::kAlg3, BigUInt{1}), one);
+}
+
+TEST(ExpSchedule, FixedWindowBuildsTheTableThenOneMultiplyPerWindow) {
+  using enum ExpSlot;
+  const ExpSlot t0 = TableSlot(0), t1 = TableSlot(1), t2 = TableSlot(2),
+                t3 = TableSlot(3);
+  std::vector<ExpStep> steps;
+  // w = 2, e = 0b10'11: the top window reads T[2], the next T[3].
+  BuildExpSchedule(ExpMode::kFixedWindow, BigUInt{0b1011}, &steps, 2);
+  const std::vector<ExpStep> want = {
+      {kMont, kBase, kR2, ExpOp::kDomain},  // M~
+      {t0, kOne, kR2, ExpOp::kDomain},      // T[0] = Mont(1)
+      {t1, t0, kMont, ExpOp::kMultiply},    // T[i] = T[i-1] * M~
+      {t2, t1, kMont, ExpOp::kMultiply},
+      {t3, t2, kMont, ExpOp::kMultiply},
+      {kA, t0, t2, ExpOp::kMultiply},  // top window
+      {kA, kA, kA, ExpOp::kSquare},
+      {kA, kA, kA, ExpOp::kSquare},
+      {kA, kA, t3, ExpOp::kMultiply},
+      {kA, kA, kOne, ExpOp::kDomain},
+  };
+  EXPECT_EQ(steps, want);
+  EXPECT_EQ(ExpRegisterCount(steps), kExpSlotCount + 4);
+  // A zero window still multiplies, by T[0].
+  BuildExpSchedule(ExpMode::kFixedWindow, BigUInt{0b0100}, &steps, 2);
+  EXPECT_EQ(steps[5], (ExpStep{kA, t0, TableSlot(1), ExpOp::kMultiply}));
+  EXPECT_EQ(steps[8], (ExpStep{kA, kA, t0, ExpOp::kMultiply}));
+  EXPECT_THROW(BuildExpSchedule(ExpMode::kFixedWindow, BigUInt{5}, &steps, 0),
+               std::invalid_argument);
+  EXPECT_THROW(BuildExpSchedule(ExpMode::kFixedWindow, BigUInt{5}, &steps,
+                                kMaxWindowBits + 1),
+               std::invalid_argument);
 }
 
 TEST(ExpSchedule, BuildReplacesThePreviousSchedule) {
@@ -149,6 +190,16 @@ TEST(ExpAlgorithms, OperationCountsFollowClosedForms) {
   EXPECT_EQ(CountOps(ladder, ExpOp::kDomain), 3u);
   // Total work for a balanced exponent: L2R < ladder.
   EXPECT_LT(l2r.size(), ladder.size());
+  // Fixed window of w bits: the 2^w - 1 table products, w squarings per
+  // window below the top one, one multiply per window, and the domain
+  // entries of M~ and T[0] besides the exit.
+  const std::size_t w = kDefaultWindowBits;
+  const std::size_t windows = (ebits + w - 1) / w;
+  const std::vector<ExpStep> window = Schedule(ExpMode::kFixedWindow, e);
+  EXPECT_EQ(CountOps(window, ExpOp::kSquare), w * (windows - 1));
+  EXPECT_EQ(CountOps(window, ExpOp::kMultiply), (1u << w) - 1 + windows);
+  EXPECT_EQ(CountOps(window, ExpOp::kDomain), 3u);
+  EXPECT_LT(window.size(), l2r.size());
 }
 
 // --- SPA: the trace of L2R binary leaks the exponent; the ladder doesn't.
@@ -182,6 +233,19 @@ TEST(ExpAlgorithms, SpaLearnsNothingFromLadder) {
   for (std::size_t i = 0; i + 1 < r1.size(); ++i) EXPECT_TRUE(r1[i]);
   EXPECT_FALSE(r1.back()) << "the trace's one fixed 'false' is positional, "
                              "not key-dependent";
+}
+
+// The fixed window's operation sequence depends only on the exponent's
+// length; which table entry a window multiplies by is invisible to SPA.
+TEST(ExpAlgorithms, SpaLearnsNothingFromFixedWindow) {
+  auto rng = test::TestRng();
+  const BigUInt e1 = rng.ExactBits(64);
+  const BigUInt e2 = BigUInt::PowerOfTwo(63);  // every lower window is zero
+  const std::vector<ExpStep> t1 = Schedule(ExpMode::kFixedWindow, e1);
+  const std::vector<ExpStep> t2 = Schedule(ExpMode::kFixedWindow, e2);
+  EXPECT_NE(t1, t2);
+  EXPECT_EQ(MainLoopOps(t1), MainLoopOps(t2));
+  EXPECT_EQ(RecoverExponentFromTrace(t1), RecoverExponentFromTrace(t2));
 }
 
 }  // namespace
