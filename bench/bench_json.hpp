@@ -21,6 +21,22 @@
 
 namespace mont::bench {
 
+/// True in an AddressSanitizer or ThreadSanitizer build.  Instrumentation
+/// slows the measured code and its reference by different factors, so a
+/// wall-clock ratio there measures the sanitizer: the timing gates report
+/// it as "not measured" instead of judging it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kSanitizerBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr bool kSanitizerBuild = true;
+#else
+inline constexpr bool kSanitizerBuild = false;
+#endif
+#else
+inline constexpr bool kSanitizerBuild = false;
+#endif
+
 /// One JSON scalar.
 class JsonValue {
  public:

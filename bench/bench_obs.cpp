@@ -15,7 +15,9 @@
 // THE GATE: idle must stay within 3% of baseline (best-of-N wall time,
 // re-measured up to 3 times before failing, because a 3% bar on a shared
 // CI box needs noise discipline).  Enabled-mode cost is reported but not
-// gated — turning tracing on is a diagnostic decision, not a tax.
+// gated — turning tracing on is a diagnostic decision, not a tax.  A
+// sanitizer build reports the overhead as not measured instead of
+// gating it.
 //
 // The enabled run's event tally, drop count and scheduler counters are
 // deterministic per seed, so BENCH_obs.json doubles as a drift gate on
@@ -205,7 +207,7 @@ int main(int argc, char** argv) {
       dropped = tracer.DroppedEvents();
     }
     idle_overhead = idle_wall / baseline_wall - 1.0;
-    if (idle_overhead <= gate) break;
+    if (idle_overhead <= gate || mont::bench::kSanitizerBuild) break;
     std::printf("  (attempt %d: idle overhead %.2f%% > %.0f%%, "
                 "re-measuring)\n", attempt + 1, idle_overhead * 100,
                 gate * 100);
@@ -217,8 +219,11 @@ int main(int argc, char** argv) {
   std::printf("-----------------------+--------------+---------------------\n");
   std::printf("%-22s | %12.4f | %s\n", "baseline (no tracer)", baseline_wall,
               "-");
-  std::printf("%-22s | %12.4f | %+.2f%%  (gate: <= %.0f%%)\n",
-              "tracer idle", idle_wall, idle_overhead * 100, gate * 100);
+  std::printf("%-22s | %12.4f | %+.2f%%  (gate: <= %.0f%%%s)\n",
+              "tracer idle", idle_wall, idle_overhead * 100, gate * 100,
+              mont::bench::kSanitizerBuild
+                  ? ": not measured in a sanitizer build"
+                  : "");
   std::printf("%-22s | %12.4f | %+.2f%%  (reported, not gated)\n",
               "tracer enabled", enabled_wall, enabled_overhead * 100);
   std::printf("\nenabled run: %zu trace events (%llu dropped), "
@@ -228,6 +233,8 @@ int main(int argc, char** argv) {
                   enabled_result.metrics.CounterValue("jobs.completed")),
               enabled_result.invariant_violations);
 
+  const bool meets_gate =
+      idle_overhead <= gate || mont::bench::kSanitizerBuild;
   std::vector<mont::bench::JsonRow> rows;
   rows.push_back({
       {"phase", "overhead"},
@@ -240,7 +247,7 @@ int main(int argc, char** argv) {
       {"idle_overhead_fraction", idle_overhead},
       {"enabled_overhead_fraction", enabled_overhead},
       {"gate_limit_fraction", gate},
-      {"meets_gate", idle_overhead <= gate},
+      {"meets_gate", meets_gate},
   });
   // Deterministic per seed: a strict drift failure here means an
   // emission site or a scheduling decision changed, not the host.
@@ -266,10 +273,15 @@ int main(int argc, char** argv) {
     std::printf("FAIL: metric conservation invariants violated\n");
     return 1;
   }
-  if (idle_overhead > gate) {
+  if (!meets_gate) {
     std::printf("FAIL: idle-tracing overhead %.2f%% exceeds the %.0f%% "
                 "gate\n", idle_overhead * 100, gate * 100);
     return 1;
+  }
+  if (mont::bench::kSanitizerBuild) {
+    std::printf("OK: idle-tracing overhead not measured in a sanitizer "
+                "build\n");
+    return 0;
   }
   std::printf("OK: idle-tracing overhead %.2f%% within the %.0f%% gate\n",
               idle_overhead * 100, gate * 100);

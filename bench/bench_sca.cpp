@@ -12,12 +12,15 @@
 //      capture (the batch engine is what makes the lab affordable);
 //   5. capture overhead: a 64-lane pass of 64-bit ModExp captures against
 //      plain simulation of the same exponentiations, with the thread
-//      pinned to one CPU so the capture runs one window, as the plain
+//      pinned to one CPU so the capture runs on one thread, as the plain
 //      simulation does.  THE GATE: capture may take at most 2.2x the
 //      plain simulation (interleaved best-of-N, as bench_obs gates
-//      tracing); the binary exits 1 above it;
-//   6. capture windows (informational): the same capture split across
-//      the process's CPUs against the one-window capture — windows used
+//      tracing); the binary exits 1 above it.  A sanitizer build reports
+//      the ratio as not measured and gates only the results;
+//   6. capture windows (informational): the same capture spread over
+//      one thread per CPU of the process, each starting on its own range
+//      of MMMs and stealing the back half of the largest range not yet
+//      run once dry, against the capture on one thread — threads used
 //      and wall speedup, both host-dependent.  The traces must match.
 //
 // Emits BENCH_sca.json (bench_json.hpp flat schema) for CI trend
@@ -376,12 +379,12 @@ int main(int argc, char** argv) {
         }
       }
       ratio = capture_seconds / plain_seconds;
-      if (ratio <= gate) break;
+      if (ratio <= gate || mont::bench::kSanitizerBuild) break;
       std::printf("  (attempt %d: capture/plain %.2f > %.1f, re-measuring)\n",
                   attempt + 1, ratio, gate);
     }
     RestoreAffinity(all_cpus);
-    meets_gate = correct && ratio <= gate;
+    meets_gate = correct && (ratio <= gate || mont::bench::kSanitizerBuild);
     const double traces = static_cast<double>(bases.size());
     std::printf("capture overhead (l=%zu ModExp, %zu-bit exponent, %zu "
                 "lanes, %zu nets, best of %zu):\n",
@@ -390,8 +393,11 @@ int main(int argc, char** argv) {
     std::printf("  plain simulation: %10.1f traces/s\n",
                 traces / plain_seconds);
     std::printf("  capture         : %10.1f traces/s  (%.2fx the plain "
-                "time; gate <= %.1fx)%s\n\n",
+                "time; gate <= %.1fx%s)%s\n\n",
                 traces / capture_seconds, ratio, gate,
+                mont::bench::kSanitizerBuild
+                    ? ": not measured in a sanitizer build"
+                    : "",
                 correct ? "" : "  WRONG RESULT");
     rows.push_back({{"section", "capture_overhead"},
                     {"l", static_cast<unsigned long long>(l)},
@@ -407,7 +413,7 @@ int main(int argc, char** argv) {
                     {"gate_limit_ratio", gate},
                     {"meets_gate", meets_gate}});
 
-    // --- 6. capture windows: all CPUs vs one window (informational) -----
+    // --- 6. capture windows: stealing threads vs one (informational) -----
     double windowed_seconds = std::numeric_limits<double>::infinity();
     double one_window_seconds = std::numeric_limits<double>::infinity();
     bool same = true;
@@ -430,8 +436,8 @@ int main(int argc, char** argv) {
     const double speedup = one_window_seconds / windowed_seconds;
     meets_gate = meets_gate && same;
     std::printf("capture windows (same capture, best of %zu):\n", reps);
-    std::printf("  1 window : %10.1f traces/s\n", traces / one_window_seconds);
-    std::printf("  %zu windows: %10.1f traces/s  (%.2fx)%s\n\n", windows,
+    std::printf("  1 thread : %10.1f traces/s\n", traces / one_window_seconds);
+    std::printf("  %zu threads: %10.1f traces/s  (%.2fx)%s\n\n", windows,
                 traces / windowed_seconds, speedup,
                 same ? "" : "  TRACES DIFFER");
     rows.push_back({{"section", "capture_windows"},

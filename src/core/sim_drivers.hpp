@@ -12,14 +12,18 @@
 //
 // MmmcModExpRunner runs the §4.5 exponentiation (the shared kAlg3
 // schedule of bignum/exp_schedule.hpp) on the 64-lane engine and can
-// split one pass across CPUs at multiplication boundaries.  That
-// is exact because an MMM does not remember its history: the START edge
-// loads every operand register and clears the array, so the full net
-// state after an MMM and its drain edge is a function of that MMM's
-// operands alone.  A window that starts mid-exponentiation therefore
-// replays the MMM before its range as a warm-up and then continues
-// exactly as the one-window run would; every pass checks that at each
-// boundary before it returns.
+// spread one pass over several threads at multiplication boundaries.
+// Each thread starts on its own contiguous range of MMMs; a thread that
+// runs dry steals the back half of the largest range not yet run
+// (MmmSplitter), so no thread idles while another still has at least
+// four MMMs ahead of it.  Any cut is exact because an MMM does not
+// remember its history: the START edge loads every operand register and
+// clears the array, so the full net state after an MMM and its drain edge
+// is a function of that MMM's operands alone.  A range that starts
+// mid-exponentiation therefore replays the MMM before it as a warm-up,
+// from operands predicted on 64-bit words (Alg2Predictor), and then
+// continues exactly as the one-thread run would; every pass checks that
+// at each cut before it returns.
 #pragma once
 
 #include <condition_variable>
@@ -215,62 +219,115 @@ class MmmcBatchSimDriver {
 };
 
 /// Algorithm 2's exact output in closed form: for x, y < 2N,
-/// T = (xy + ((-xy * N^-1) mod R) * N) / R with R = 2^(l+2) — the value
-/// the bit-serial loop (BitSerialMontgomery::MultiplyAlg2) and the MMMC
-/// netlist produce, bit for bit, at a few big-integer operations instead
-/// of l+2 iterations.  MmmcModExpRunner predicts window entry points with
-/// it.
+/// T = (xy + qN) / R with q = (-xy * N^-1) mod R and R = 2^(l+2) — the
+/// value the bit-serial loop (BitSerialMontgomery::MultiplyAlg2) and the
+/// MMMC netlist produce, bit for bit.  It is computed by one CIOS pass
+/// over 64-bit words whose last reduction digit is (l+2) mod 64 bits wide
+/// (64 when that is 0), with no final subtraction: the digits' q sums to
+/// the one q below R that makes xy + qN divisible by R.  MmmcModExpRunner
+/// predicts range entry points with it.
 class Alg2Predictor {
  public:
+  using Word = std::uint64_t;
+
   /// Requires an odd modulus > 1 (std::invalid_argument otherwise).
   explicit Alg2Predictor(const bignum::BigUInt& modulus);
 
+  /// Requires x, y < 2N (std::invalid_argument otherwise).
   bignum::BigUInt Multiply(const bignum::BigUInt& x,
                            const bignum::BigUInt& y) const;
 
+  /// 64-bit words of an operand or a result: ceil((l+2)/64).
+  std::size_t Words() const { return n_.size(); }
+  /// out = T(x, y) for x, y < 2N, each Words() words, least significant
+  /// first; out may alias x or y.  Allocates nothing up to l = 2046.
+  void Multiply(const Word* x, const Word* y, Word* out) const;
+
  private:
-  bignum::BigUInt modulus_;
-  bignum::BigUInt n_prime_;  ///< -N^-1 mod R
-  std::size_t r_bits_ = 0;   ///< l + 2
+  bignum::BigUInt two_n_;
+  std::vector<Word> n_;     ///< N in Words() words
+  Word n0_inv_ = 0;         ///< -N^-1 mod 2^64
+  unsigned top_bits_ = 64;  ///< width of the last reduction digit
 };
 
 /// CPUs in the calling thread's affinity mask (sched_getaffinity; 1 if
 /// it cannot be read).
 std::size_t AffinityCpuCount();
 
+/// The split rule of a pass's MMMs [0, m) over W threads, without the
+/// threads: MmmcModExpRunner calls it under its lock.
+///
+/// Thread t starts on range t, [t*m/W, (t+1)*m/W), and claims its MMMs
+/// front to back.  A thread that runs dry steals: it cuts the range with
+/// the most MMMs not yet claimed (the lowest index on a tie) at the middle
+/// of that remainder, takes the back half as a new range, and the owner
+/// stops at the shortened end.  A remainder of fewer than kMinSplit MMMs
+/// is never cut, so both halves hold at least two.  The ranges always
+/// partition [0, m), and only range 0 starts at MMM 0.
+class MmmSplitter {
+ public:
+  static constexpr std::size_t kMinSplit = 4;
+
+  struct Range {
+    std::size_t begin = 0;  ///< first MMM
+    std::size_t next = 0;   ///< first MMM not yet claimed
+    std::size_t end = 0;    ///< one past the last MMM
+
+    friend bool operator==(const Range&, const Range&) = default;
+  };
+
+  /// Ranges 0..threads-1 (threads in 1..mmms).
+  void Reset(std::size_t mmms, std::size_t threads);
+  /// The next MMM of `range` for its owner, or nullopt once it reaches
+  /// the range's (possibly shortened) end.
+  std::optional<std::size_t> Claim(std::size_t range);
+  /// For a thread that ran dry: the index of the new range it now owns,
+  /// or nullopt when no remainder has kMinSplit MMMs.
+  std::optional<std::size_t> Steal();
+
+  std::span<const Range> Ranges() const { return ranges_; }
+
+ private:
+  std::vector<Range> ranges_;
+};
+
 /// The §4.5 modular exponentiation base^e mod N on a 64-lane MMMC,
-/// optionally split into windows that run on their own simulators and
-/// threads.
+/// optionally spread over several threads, each on its own simulator.
 ///
 /// The MMM sequence is the shared §4.5 schedule (bignum/exp_schedule.hpp,
 /// ExpMode::kAlg3: pre-computation Mont(M, R^2), a squaring per scanned
 /// exponent bit plus a multiply by M~ per set bit, post-processing
-/// Mont(A, 1)), cut into contiguous ranges, one per window:
-///   * window 0 runs on the persistent simulator, sim();
-///   * window j > 0 runs on a window simulator over the same compiled
-///     netlist: it first replays MMM k_j - 1, the one before its range,
-///     with toggle counting paused, from operands predicted in software
-///     (the schedule executed over Alg2Predictor), then runs its range;
-///   * inside a window every MMM takes its operands from the device's own
-///     RESULT bus; only the warm-up operands and M~ are predicted.
-/// Before Run() returns it checks, for every boundary: window j-1's last
-/// MMM operands equal window j's warm-up operands, window j-1's final net
-/// state equals window j's state after the warm-up, and window 0's device
-/// M~ equals the prediction.  A mismatch throws std::logic_error.  The
-/// simulator that ran the last window then becomes sim(), so the next
-/// call starts from exactly the state a one-window run leaves behind.
+/// Mont(A, 1)), run as the contiguous ranges of an MmmSplitter:
+///   * thread 0 is the caller, on the persistent simulator sim(); it runs
+///     range 0, which starts at MMM 0, so it continues from the state the
+///     previous call left, and it reads M~ from the device;
+///   * thread t > 0 is a worker on its own simulator over the same
+///     compiled netlist;
+///   * a range starting at MMM k > 0 first replays MMM k - 1 with toggle
+///     counting paused, from operands predicted in software (the schedule
+///     executed over Alg2Predictor on 64-bit words), then runs its own
+///     MMMs, each taking its operands from the device's own RESULT bus;
+///     only the warm-up operands and, off thread 0, M~ are predicted.
+/// A thread keeps a net-state snapshot after every warm-up and after
+/// every range that ends before the last MMM.  Before Run() returns it
+/// checks every cut: the range before it exits with the warm-up's
+/// operands and net state, and each thread's predicted M~ equals the
+/// device's.  A mismatch throws std::logic_error.  The simulator that ran
+/// the last MMM then becomes sim(), so the next call starts from exactly
+/// the state a one-thread run leaves behind.
 ///
-/// Window simulators and worker threads are created on first use and
-/// reused; a worker's exception is rethrown by Run().  The runner is not
+/// Worker simulators, threads and snapshot buffers are created on first
+/// use, each on its own thread, and reused; a thread's exception stops
+/// further stealing and is rethrown by Run().  The runner is not
 /// thread-safe: one Run() at a time.
 class MmmcModExpRunner {
  public:
   /// Builds a simulator with the modulus loaded and any toggle selection
-  /// enabled; called once for sim() and once per window simulator, the
-  /// latter on that window's worker thread.
+  /// enabled; called once for sim() and once per further simulator (one
+  /// per worker thread and a spare), on the thread that first runs on it.
   using SimulatorFactory = std::function<std::unique_ptr<rtl::BatchSimulator>()>;
-  /// Called on the window's thread once samples [begin, end) of every
-  /// lane are in the sample buffer.
+  /// Called on the running thread once samples [begin, end) of every lane
+  /// are in the sample buffer: once per range, the ranges disjoint.
   using WindowSink = std::function<void(std::size_t begin, std::size_t end)>;
 
   MmmcModExpRunner(const MmmcNetlist& gen, const bignum::BigUInt& modulus,
@@ -279,7 +336,7 @@ class MmmcModExpRunner {
   MmmcModExpRunner(const MmmcModExpRunner&) = delete;
   MmmcModExpRunner& operator=(const MmmcModExpRunner&) = delete;
 
-  /// The persistent simulator: window 0 and single multiplications run on
+  /// The persistent simulator: range 0 and single multiplications run on
   /// it, and after Run() its RESULT bus holds the exponentiations' results.
   rtl::BatchSimulator& sim() { return *sims_[0]; }
   const rtl::BatchSimulator& sim() const { return *sims_[0]; }
@@ -289,8 +346,8 @@ class MmmcModExpRunner {
   /// MMMs of one exponentiation: the length of its kAlg3 schedule,
   /// bits(e) + popcount(e).
   static std::size_t MmmCount(const bignum::BigUInt& exponent);
-  /// Windows Run() uses for `requested` windows and this exponent:
-  /// capped so each window holds at least 4 MMMs, 1 when sim() carries
+  /// Threads Run() uses for `requested` windows and this exponent: capped
+  /// so each starting range holds at least 4 MMMs, 1 when sim() carries
   /// faults.
   std::size_t Windows(std::size_t requested,
                       const bignum::BigUInt& exponent) const;
@@ -304,9 +361,9 @@ class MmmcModExpRunner {
 
   /// Runs bases[k]^exponent mod N on lane k (1 to 64 bases, each < N;
   /// exponent nonzero; std::invalid_argument otherwise, before anything is
-  /// driven) in Windows(windows, exponent) windows and returns that
+  /// driven) on Windows(windows, exponent) threads and returns that
   /// count.  Samples are recorded as in Multiply() (MmmCount *
-  /// SamplesPerMmm per lane), and `sink` is told as each window's samples
+  /// SamplesPerMmm per lane), and `sink` is told as each range's samples
   /// complete.
   std::size_t Run(std::span<const bignum::BigUInt> bases,
                   const bignum::BigUInt& exponent, std::size_t windows,
@@ -314,56 +371,74 @@ class MmmcModExpRunner {
                   const WindowSink& sink = {});
 
  private:
-  /// Per-window working storage, reused across calls.
-  struct Window {
-    std::vector<bignum::BigUInt> m;       ///< M~ per lane
-    std::vector<bignum::BigUInt> warm_x;  ///< warm-up operands (j > 0)
-    std::vector<bignum::BigUInt> warm_y;
-    std::vector<std::uint64_t> entry_state;  ///< nets after the warm-up
+  /// One thread's working storage, allocated and reused on that thread.
+  struct Worker {
+    std::vector<Alg2Predictor::Word> registers;  ///< one lane's, predicting
+    /// Bus words (bit i of every lane in word i) of the warm-up operands
+    /// and of the M~ this thread predicted.
+    std::vector<std::uint64_t> warm_x, warm_y, predicted_m;
+    std::size_t sim = 0;     ///< index into sims_ of its simulator
+    bool predicted = false;  ///< predicted_m holds this call's M~
+    bool ran_last = false;   ///< this call's last MMM ran here
+    struct Snapshot {
+      std::size_t range = 0;
+      bool entry = false;  ///< after the warm-up, else after the range
+      std::vector<std::uint64_t> nets;
+    };
+    std::vector<Snapshot> snapshots;  ///< the first `used` are this call's
+    std::size_t used = 0;
     std::exception_ptr error;
   };
 
-  void RunWindow(std::size_t j);
-  void RunWindowCaught(std::size_t j);
+  /// Runs range 0 and then stolen ranges on thread t until none is left.
+  void RunThread(std::size_t t);
+  void RunRange(std::size_t t, std::size_t range);
   /// Predicts M~ and the operands of MMM `warm_step` for every lane.
-  void Predict(Window& w, std::size_t warm_step) const;
-  /// Drives the operands of `step`, reading A from the RESULT bus.
+  void Predict(Worker& w, std::size_t warm_step) const;
+  /// Drives the operands of `step`, reading A from the RESULT bus and M~
+  /// from the bus words `m`.
   void LoadOperands(rtl::BatchSimulator& sim, bignum::ExpStep step,
-                    const Window& w) const;
+                    std::span<const std::uint64_t> m) const;
   /// START, 3l+3 more edges to DONE, and the drain edge; records the
   /// first 3l+4 edges' toggle counts of lanes 0..lanes-1 to `out`
   /// (sample-major) unless it is null.
   void RunMmm(rtl::BatchSimulator& sim, std::size_t lanes,
               std::uint32_t* out) const;
-  void CheckBoundaries(std::size_t windows) const;
-  /// Runs window j of every call from generation `seen` on.
-  void WorkerLoop(std::size_t j, std::uint64_t seen);
+  void CheckBoundaries(std::size_t threads) const;
+  /// Runs thread t of every call from generation `seen` on.
+  void WorkerLoop(std::size_t t, std::uint64_t seen);
 
   const MmmcNetlist& gen_;
   bignum::BigUInt modulus_;
   bignum::BigUInt r2_;  ///< R^2 mod N
-  /// Made on the first multi-window call (its N^-1 costs set-up time).
+  /// Made on the first multi-thread call (its set-up costs time).
   std::optional<Alg2Predictor> predictor_;
+  std::vector<Alg2Predictor::Word> r2_words_;
   SimulatorFactory make_simulator_;
+  /// Thread t's simulator is sims_[t]; after the last MMM its thread
+  /// moves on to the spare, sims_[threads].
   std::vector<std::unique_ptr<rtl::BatchSimulator>> sims_;
-  std::vector<Window> windows_;
+  std::vector<Worker> workers_;                             ///< per thread
 
-  /// The call in flight: written by Run() before it wakes the workers.
+  /// The call in flight: written by Run() before it wakes the threads.
   std::vector<bignum::ExpStep> steps_;
-  std::vector<std::size_t> bounds_;  ///< window j runs [bounds_[j], bounds_[j+1])
   std::span<const bignum::BigUInt> bases_;
   std::span<std::uint32_t> samples_;
   const WindowSink* sink_ = nullptr;
   std::uint64_t lane_mask_ = 0;
+  /// M~ as bus words, read from the device by thread 0.
+  std::vector<std::uint64_t> device_m_;
 
   std::mutex mu_;
+  MmmSplitter splitter_;  ///< guarded by mu_
+  bool failed_ = false;   ///< a thread threw: no more stealing; by mu_
   std::condition_variable wake_;
   std::condition_variable done_;
   std::uint64_t generation_ = 0;
-  std::size_t active_windows_ = 0;
+  std::size_t active_threads_ = 0;
   std::size_t busy_ = 0;
   bool stopping_ = false;
-  std::vector<std::thread> workers_;  ///< workers_[i] runs window i + 1
+  std::vector<std::thread> threads_;  ///< threads_[i] is thread i + 1
 };
 
 }  // namespace mont::core

@@ -20,7 +20,7 @@ using bignum::BigUInt;
 
 TraceSet::TraceSet(std::size_t count, std::size_t samples,
                    std::vector<double> data)
-    : count_(count), samples_(samples), data_(std::move(data)) {
+    : count_(count), samples_(samples), data_(data.begin(), data.end()) {
   if (data_.size() != count * samples) {
     throw std::invalid_argument("TraceSet: data size is not count * samples");
   }
@@ -227,9 +227,13 @@ TraceSet GateLevelCapture::Capture(std::size_t count, std::size_t mmms,
                                    RunPass run_pass) {
   if (count == 0) return {};
   const std::size_t samples = mmms * SamplesPerMultiplication();
-  std::vector<double> data(count * samples);
-  std::vector<std::uint32_t> pass(
-      samples * std::min(rtl::BatchSimulator::kLanes, count));
+  // Every sample is written by a transpose below, so neither buffer is
+  // cleared first.
+  TraceSet out(count, samples);
+  const std::size_t pass_size =
+      samples * std::min(rtl::BatchSimulator::kLanes, count);
+  if (pass_.size() < pass_size) pass_.resize(pass_size);
+  const std::uint32_t* const pass = pass_.data();
   for (std::size_t at = 0; at < count; at += rtl::BatchSimulator::kLanes) {
     const std::size_t n = std::min(rtl::BatchSimulator::kLanes, count - at);
     // Sample-major (sample s of lane k at s*n + k) to row-major, in
@@ -238,15 +242,14 @@ TraceSet GateLevelCapture::Capture(std::size_t count, std::size_t mmms,
       for (std::size_t s0 = begin; s0 < end; s0 += 64) {
         const std::size_t s1 = std::min(end, s0 + 64);
         for (std::size_t k = 0; k < n; ++k) {
-          double* row = data.data() + (at + k) * samples;
+          double* row = out.data_.data() + (at + k) * samples;
           for (std::size_t s = s0; s < s1; ++s) row[s] = pass[s * n + k];
         }
       }
     };
-    run_pass(at, n, std::span<std::uint32_t>(pass.data(), samples * n),
+    run_pass(at, n, std::span<std::uint32_t>(pass_.data(), samples * n),
              transpose);
   }
-  TraceSet out(count, samples, std::move(data));
   out.AddGaussianNoise(options_.noise_sigma, noise_rng_);
   return out;
 }

@@ -19,22 +19,26 @@
 //    whole left-to-right modular exponentiations (the §4.5 flow, which is
 //    what the CPA engine in sca/attack.hpp attacks).
 //
-//    An exponentiation pass runs on core::MmmcModExpRunner, split into
-//    one window per CPU of the calling thread's affinity mask (at least
-//    4 MMMs per window; one window when the simulator carries faults).
-//    Each window simulates its own range of MMMs on its own simulator
-//    over the capture's one compiled netlist, records its own slice of
-//    the samples and writes its own columns of the traces.  An MMM's
-//    START edge loads every operand register and clears the array, so
-//    the circuit's state after an MMM does not depend on what ran before
-//    it; the runner checks that at every window boundary, and the traces
-//    are bit-identical to a one-window capture whatever the CPU count.
+//    An exponentiation pass runs on core::MmmcModExpRunner over one
+//    thread per CPU of the calling thread's affinity mask (at least 4
+//    MMMs per thread; one thread when the simulator carries faults).
+//    Each thread starts on its own range of MMMs and, once dry, steals
+//    the back half of the largest range not yet run; it simulates each
+//    range on its own simulator over the capture's one compiled netlist,
+//    records that range's slice of the samples and writes its columns of
+//    the traces.  An MMM's START edge loads every operand register and
+//    clears the array, so the circuit's state after an MMM does not
+//    depend on what ran before it; the runner checks that at every cut,
+//    and the traces are bit-identical to a one-thread capture whatever
+//    the CPU count or the order the ranges were stolen in.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bignum/biguint.hpp"
@@ -47,6 +51,24 @@
 #include "rtl/compiled.hpp"
 
 namespace mont::sca {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() leaves doubles unwritten: for a buffer every element of which
+/// is stored right after it is sized.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}  // NOLINT
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 /// Rectangular trace store: Count() traces of Samples() samples, row-major.
 class TraceSet {
@@ -100,9 +122,14 @@ class TraceSet {
                    std::size_t max_shift) const;
 
  private:
+  friend class GateLevelCapture;
+  /// `count` traces of `samples` samples, left unwritten.
+  TraceSet(std::size_t count, std::size_t samples)
+      : count_(count), samples_(samples), data_(count * samples) {}
+
   std::size_t count_ = 0;
   std::size_t samples_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// One standard Gaussian sample (Box–Muller) from the deterministic rng.
@@ -170,14 +197,14 @@ class GateLevelCapture {
   /// base^exponent mod N run MMM-by-MMM on the netlist (pre-computation,
   /// square/conditional-multiply scan, post-processing).  All executions
   /// share `exponent`, so the MMM schedule is lane-uniform and 64 bases
-  /// capture per pass; each pass is split across the calling thread's
+  /// capture per pass; each pass is spread over the calling thread's
   /// CPUs (see the file comment).  Bases must be < N; exponent must be
   /// nonzero.  Trace length = (mmm count) * SamplesPerMultiplication().
   /// GF(p) only.
   TraceSet CaptureModExps(std::span<const bignum::BigUInt> bases,
                           const bignum::BigUInt& exponent);
-  /// Windows each CaptureModExps(_, exponent) pass from the calling
-  /// thread is split into.
+  /// Threads each CaptureModExps(_, exponent) pass from the calling
+  /// thread runs on.
   std::size_t ModExpWindows(const bignum::BigUInt& exponent) const {
     return runner_.Windows(core::AffinityCpuCount(), exponent);
   }
@@ -207,6 +234,8 @@ class GateLevelCapture {
   bignum::BitSerialMontgomery ctx_;
   core::MmmcModExpRunner runner_;
   bignum::Xoshiro256 noise_rng_;
+  /// One pass's samples, sample-major; kept across calls.
+  std::vector<std::uint32_t> pass_;
 };
 
 }  // namespace mont::sca

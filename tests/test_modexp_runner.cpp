@@ -1,19 +1,28 @@
-// The windowed §4.5 runner (core::MmmcModExpRunner) and its closed-form
-// Algorithm 2 predictor.
+// The work-stealing §4.5 runner (core::MmmcModExpRunner), its split rule
+// (core::MmmSplitter) and its word-level Algorithm 2 predictor.
 //
-// A pass split into windows must be bit-identical to the one-window pass:
-// every toggle sample (including each call's sample 0, which counts
-// against whatever the previous call left in the circuit) and every
-// result, over consecutive calls on one runner.  The windows run on
-// worker threads, so this suite also runs under the TSan preset.
+// A pass spread over several threads must be bit-identical to the
+// one-thread pass: every toggle sample (including each call's sample 0,
+// which counts against whatever the previous call left in the circuit)
+// and every result, over consecutive calls on one runner, whatever the
+// order the ranges were stolen in.  The ranges run on worker threads, so
+// this suite also runs under the TSan preset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bignum/montgomery.hpp"
@@ -46,20 +55,209 @@ TEST(Alg2Predictor, MatchesMultiplyAlg2) {
   }
 }
 
+TEST(Alg2Predictor, MatchesMultiplyAlg2OnRandomPairs) {
+  for (const std::size_t l : {64u, 65u, 128u, 1024u}) {
+    auto rng = test::TestRng(l);
+    const BigUInt n = rng.OddExactBits(l);
+    const BigUInt two_n = n << 1;
+    const bignum::BitSerialMontgomery reference(n);
+    const Alg2Predictor predictor(n);
+    for (int i = 0; i < 10000; ++i) {
+      const BigUInt x = rng.Below(two_n);
+      const BigUInt y = rng.Below(two_n);
+      ASSERT_EQ(predictor.Multiply(x, y), reference.MultiplyAlg2(x, y))
+          << "l=" << l << " x=" << x.ToHex() << " y=" << y.ToHex();
+    }
+  }
+}
+
+// l + 2 = 64, 65, 66, 128, 129, 130: the last reduction digit is 62, 63,
+// 64 (a full word), 62, 63 and 64 bits wide, on one or two more words.
+TEST(Alg2Predictor, MatchesMultiplyAlg2AtWordBoundaries) {
+  for (const std::size_t l : {62u, 63u, 64u, 126u, 127u, 128u}) {
+    auto rng = test::TestRng(l);
+    const std::vector<BigUInt> moduli = {
+        BigUInt::PowerOfTwo(l) - 1, BigUInt::PowerOfTwo(l - 1) + 1,
+        rng.OddExactBits(l)};
+    for (const BigUInt& n : moduli) {
+      const bignum::BitSerialMontgomery reference(n);
+      const Alg2Predictor predictor(n);
+      const std::vector<BigUInt> operands = {BigUInt{0}, BigUInt{1}, n - 1, n,
+                                             (n << 1) - 1};
+      for (const BigUInt& x : operands) {
+        for (const BigUInt& y : operands) {
+          ASSERT_EQ(predictor.Multiply(x, y), reference.MultiplyAlg2(x, y))
+              << "l=" << l << " n=" << n.ToHex() << " x=" << x.ToHex()
+              << " y=" << y.ToHex();
+        }
+      }
+    }
+  }
+}
+
+TEST(Alg2Predictor, WordApiMayWriteOverAnOperand) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(130);
+  const Alg2Predictor predictor(n);
+  const std::size_t s = predictor.Words();
+  ASSERT_EQ(s, 3u);
+  const BigUInt x = rng.Below(n << 1);
+  std::vector<Alg2Predictor::Word> a(s);
+  bignum::WordMontgomery::ToWords(x, a);
+  predictor.Multiply(a.data(), a.data(), a.data());  // a <- T(a, a)
+  EXPECT_EQ(bignum::WordMontgomery::FromWords(a), predictor.Multiply(x, x));
+}
+
+TEST(Alg2Predictor, RejectsOperandsOutsideTheWindow) {
+  const BigUInt n{40961};
+  const Alg2Predictor predictor(n);
+  EXPECT_THROW(predictor.Multiply(n << 1, BigUInt{1}), std::invalid_argument);
+  EXPECT_THROW(predictor.Multiply(BigUInt{1}, n << 1), std::invalid_argument);
+}
+
 TEST(Alg2Predictor, RejectsEvenAndTrivialModuli) {
   EXPECT_THROW(Alg2Predictor(BigUInt{10}), std::invalid_argument);
   EXPECT_THROW(Alg2Predictor(BigUInt{1}), std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// MmmSplitter: the split rule without threads
+// ---------------------------------------------------------------------------
+
+using Range = MmmSplitter::Range;
+
+std::vector<Range> RangesOf(const MmmSplitter& splitter) {
+  return {splitter.Ranges().begin(), splitter.Ranges().end()};
+}
+
+/// Claims `count` MMMs of `range` and checks they come front to back.
+void ClaimN(MmmSplitter& splitter, std::size_t range, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t expected = splitter.Ranges()[range].next;
+    ASSERT_EQ(splitter.Claim(range), std::optional<std::size_t>(expected));
+  }
+}
+
+TEST(MmmSplitter, EachThreadStartsOnItsOwnRange) {
+  MmmSplitter splitter;
+  splitter.Reset(98, 4);
+  EXPECT_EQ(RangesOf(splitter),
+            (std::vector<Range>{{0, 0, 24}, {24, 24, 49}, {49, 49, 73},
+                                {73, 73, 98}}));
+}
+
+TEST(MmmSplitter, FirstToFinishTakesTheBackHalfOfTheLargestRemainder) {
+  MmmSplitter splitter;
+  splitter.Reset(96, 4);
+  ClaimN(splitter, 0, 10);  // 14 left
+  ClaimN(splitter, 1, 3);   // 21 left: the largest
+  ClaimN(splitter, 2, 20);  // 4 left
+  ClaimN(splitter, 3, 24);  // thread 3 runs dry first
+  EXPECT_EQ(splitter.Claim(3), std::nullopt);
+  // Range 1 keeps the front ceil(21/2) = 11 of [27, 48); the thief gets
+  // the back 10.
+  EXPECT_EQ(splitter.Steal(), std::optional<std::size_t>(4));
+  EXPECT_EQ(splitter.Ranges()[1], (Range{24, 27, 38}));
+  EXPECT_EQ(splitter.Ranges()[4], (Range{38, 38, 48}));
+  // Next, range 0 (14 left) beats range 4 (10) and range 2 (4).
+  EXPECT_EQ(splitter.Steal(), std::optional<std::size_t>(5));
+  EXPECT_EQ(splitter.Ranges()[0], (Range{0, 10, 17}));
+  EXPECT_EQ(splitter.Ranges()[5], (Range{17, 17, 24}));
+}
+
+TEST(MmmSplitter, NeverSplitsFewerThanFourMmms) {
+  MmmSplitter splitter;
+  splitter.Reset(16, 2);
+  ClaimN(splitter, 0, 5);  // 3 left
+  ClaimN(splitter, 1, 5);  // 3 left
+  EXPECT_EQ(splitter.Steal(), std::nullopt);
+  EXPECT_EQ(splitter.Ranges().size(), 2u);
+
+  splitter.Reset(16, 2);
+  ClaimN(splitter, 0, 4);  // exactly 4 left: split 2 + 2
+  ClaimN(splitter, 1, 8);
+  EXPECT_EQ(splitter.Steal(), std::optional<std::size_t>(2));
+  EXPECT_EQ(splitter.Ranges()[0], (Range{0, 4, 6}));
+  EXPECT_EQ(splitter.Ranges()[2], (Range{6, 6, 8}));
+  EXPECT_EQ(splitter.Steal(), std::nullopt);  // 2, 0 and 2 left
+}
+
+TEST(MmmSplitter, OwnerStopsAtTheShortenedEnd) {
+  MmmSplitter splitter;
+  splitter.Reset(16, 2);
+  ClaimN(splitter, 1, 8);
+  const std::optional<std::size_t> stolen = splitter.Steal();  // before
+  ASSERT_EQ(stolen, std::optional<std::size_t>(2));             // range 0
+  ClaimN(splitter, 0, 4);                                       // starts
+  EXPECT_EQ(splitter.Claim(0), std::nullopt);
+  EXPECT_EQ(splitter.Claim(0), std::nullopt);
+  ClaimN(splitter, 2, 4);
+  EXPECT_EQ(splitter.Claim(2), std::nullopt);
+  EXPECT_EQ(RangesOf(splitter),
+            (std::vector<Range>{{0, 4, 4}, {8, 16, 16}, {4, 8, 8}}));
+}
+
+// Random interleavings of claims and steals: every MMM is claimed exactly
+// once, by the range that holds it, and the finished ranges partition
+// [0, m) with only range 0 starting at 0.
+TEST(MmmSplitter, RandomSchedulesPartitionTheMmms) {
+  bignum::Xoshiro256 rng(test::TestSeed());
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t threads = 1 + rng.NextBelow(8);
+    const std::size_t mmms = 4 * threads + rng.NextBelow(120);
+    MmmSplitter splitter;
+    splitter.Reset(mmms, threads);
+    std::vector<std::optional<std::size_t>> owned(threads);
+    for (std::size_t t = 0; t < threads; ++t) owned[t] = t;
+    std::vector<int> claimed(mmms, 0);
+    for (;;) {
+      std::vector<std::size_t> live;
+      for (std::size_t t = 0; t < threads; ++t) {
+        if (owned[t]) live.push_back(t);
+      }
+      if (live.empty()) break;
+      const std::size_t t = live[rng.NextBelow(live.size())];
+      const std::optional<std::size_t> k = splitter.Claim(*owned[t]);
+      if (k) {
+        const Range& r = splitter.Ranges()[*owned[t]];
+        ASSERT_TRUE(*k >= r.begin && *k < r.end);
+        ++claimed[*k];
+      } else {
+        owned[t] = splitter.Steal();
+      }
+    }
+    ASSERT_EQ(claimed, std::vector<int>(mmms, 1)) << "round " << round;
+    std::vector<Range> ranges = RangesOf(splitter);
+    std::sort(ranges.begin(), ranges.end(),
+              [](const Range& a, const Range& b) { return a.begin < b.begin; });
+    EXPECT_EQ(splitter.Ranges()[0].begin, 0u);
+    std::size_t at = 0;
+    for (const Range& r : ranges) {
+      EXPECT_EQ(r.begin, at);
+      EXPECT_EQ(r.next, r.end);
+      EXPECT_GT(r.end, r.begin);
+      at = r.end;
+    }
+    EXPECT_EQ(at, mmms);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MmmcModExpRunner
+// ---------------------------------------------------------------------------
+
 /// One runner over a freshly generated l-bit MMMC, counting toggles on
-/// every net, as a capture does.
+/// every net, as a capture does.  `on_make` (if set) runs on the thread
+/// that builds each simulator, before it is built.
 class Rig {
  public:
-  Rig(const BigUInt& n, std::size_t l)
+  Rig(const BigUInt& n, std::size_t l, std::function<void()> on_make = {})
       : n_(n),
         gen_(BuildMmmcNetlist(l)),
         compiled_(*gen_.netlist),
+        on_make_(std::move(on_make)),
         runner_(gen_, n_, [this] {
+          if (on_make_) on_make_();
           auto sim = std::make_unique<rtl::BatchSimulator>(compiled_);
           DriveBusAllLanes(*sim, gen_.n_in, n_);
           sim->SetInputAll(gen_.start, false);
@@ -78,11 +276,12 @@ class Rig {
   };
 
   Output Run(const std::vector<BigUInt>& bases, const BigUInt& exponent,
-             std::size_t windows) {
+             std::size_t windows,
+             const MmmcModExpRunner::WindowSink& sink = {}) {
     Output out;
     out.samples.resize(MmmcModExpRunner::MmmCount(exponent) *
                        runner_.SamplesPerMmm() * bases.size());
-    out.windows = runner_.Run(bases, exponent, windows, out.samples);
+    out.windows = runner_.Run(bases, exponent, windows, out.samples, sink);
     out.results = runner_.sim().PeekWideLanes(gen_.result, bases.size());
     return out;
   }
@@ -91,6 +290,7 @@ class Rig {
   BigUInt n_;
   MmmcNetlist gen_;
   rtl::CompiledNetlist compiled_;
+  std::function<void()> on_make_;
   MmmcModExpRunner runner_;
 };
 
@@ -176,6 +376,58 @@ TEST(ModExpRunner, SinkSeesEverySampleOnce) {
       });
   EXPECT_EQ(windows, 4u);
   EXPECT_EQ(seen, std::vector<int>(seen.size(), 1));
+}
+
+// 20 consecutive 4-thread calls beside one busy competitor thread, so
+// the threads run at uneven speeds and steal in varying orders; every
+// sample and result must match the one-thread run.  On the first call
+// the workers build their simulators only after the caller has finished
+// range 0, so that call steals at least once whatever the host.
+TEST(ModExpRunner, StealingBesideABusyThreadMatchesOneWindow) {
+  auto rng = test::TestRng();
+  const std::size_t l = 32;
+  const BigUInt n = rng.OddExactBits(l);
+  const BigUInt e = rng.BalancedExactBits(40);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable range0_done_cv;
+  bool range0_done = false;
+  Rig reference(n, l);
+  Rig stealing(n, l, [&] {
+    if (std::this_thread::get_id() == caller) return;
+    // Bounded, so a failure on the caller's range cannot hang the test.
+    std::unique_lock lock(mu);
+    range0_done_cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return range0_done; });
+  });
+  std::size_t ranges = 0;
+  const auto sink = [&](std::size_t begin, std::size_t) {
+    const std::lock_guard lock(mu);
+    ++ranges;
+    if (begin == 0) range0_done = true;
+    range0_done_cv.notify_all();
+  };
+
+  std::atomic<std::uint64_t> spins{0};
+  // A jthread, so a failed ASSERT's early return still stops and joins it.
+  std::jthread competitor([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      spins.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const std::size_t calls = 20;
+  for (std::size_t call = 0; call < calls; ++call) {
+    const std::vector<BigUInt> bases = RandomBases(rng, n, 64);
+    const Rig::Output expected = reference.Run(bases, e, 1);
+    const Rig::Output got = stealing.Run(bases, e, 4, sink);
+    ASSERT_EQ(got.windows, 4u);
+    ASSERT_EQ(got.results, expected.results) << "call " << call;
+    ASSERT_EQ(got.samples, expected.samples) << "call " << call;
+  }
+  competitor.request_stop();
+  competitor.join();
+  EXPECT_GT(spins.load(), 0u);
+  EXPECT_GT(ranges, calls * 4) << "no call stole a range";
 }
 
 TEST(ModExpRunner, FaultedSimulatorRunsOneWindow) {
