@@ -17,14 +17,16 @@
 //      plain simulation (interleaved best-of-N, as bench_obs gates
 //      tracing); the binary exits 1 above it.  A sanitizer build reports
 //      the ratio as not measured and gates only the results;
-//   6. capture windows (informational): the same capture spread over
-//      one thread per CPU of the process, each starting on its own range
-//      of MMMs and stealing the back half of the largest range not yet
-//      run once dry, against the capture on one thread — threads used
+//   6. capture windows (informational): a 64-bit-exponent capture spread
+//      over one thread per CPU of the process, each starting on its own
+//      range of MMMs and stealing the back half of the largest range not
+//      yet run once dry, against the capture on one thread — threads used
 //      and wall speedup, both host-dependent.  The traces must match.
 //
-// Emits BENCH_sca.json (bench_json.hpp flat schema) for CI trend
-// tracking; --smoke shrinks every population for the ctest -L perf run.
+// Prints the toggle kernel the process picked (stdout only: the JSON
+// stays comparable across runner CPUs).  Emits BENCH_sca.json
+// (bench_json.hpp flat schema) for CI trend tracking; --smoke shrinks
+// every population but section 6's exponent for the ctest -L perf run.
 #include <sched.h>
 
 #include <algorithm>
@@ -43,6 +45,7 @@
 #include "core/netlist_gen.hpp"
 #include "core/sim_drivers.hpp"
 #include "crypto/rsa.hpp"
+#include "rtl/batch_sim.hpp"
 #include "sca/analysis.hpp"
 #include "sca/attack.hpp"
 #include "sca/trace.hpp"
@@ -121,8 +124,9 @@ int main(int argc, char** argv) {
   mont::bignum::RandomBigUInt rng(0x5cabe7c4u);
   std::vector<mont::bench::JsonRow> rows;
 
-  std::printf("=== side-channel lab: §5 quantified at gate level%s ===\n\n",
+  std::printf("=== side-channel lab: §5 quantified at gate level%s ===\n",
               smoke ? " (smoke)" : "");
+  std::printf("toggle kernel: %s\n\n", mont::rtl::ActiveToggleKernel().name);
 
   // --- 1. timing channel ----------------------------------------------------
   {
@@ -414,28 +418,38 @@ int main(int argc, char** argv) {
                     {"meets_gate", meets_gate}});
 
     // --- 6. capture windows: stealing threads vs one (informational) -----
+    // A 64-bit exponent (96 MMMs) in --smoke too: with 16 bits each thread
+    // ran 6 MMMs, too few for the speedup to rise above host noise.
+    const BigUInt window_exponent =
+        smoke ? rng.BalancedExactBits(64) : exponent;
+    // A capture's first sample counts the START edge's toggles against the
+    // net state the previous capture left, so both sides start after one
+    // untimed capture of this exponent.
+    capture.CaptureModExps(bases, window_exponent);
     double windowed_seconds = std::numeric_limits<double>::infinity();
     double one_window_seconds = std::numeric_limits<double>::infinity();
     bool same = true;
     for (std::size_t r = 0; r < reps; ++r) {
       const auto windowed_begin = Clock::now();
       const mont::sca::TraceSet windowed =
-          capture.CaptureModExps(bases, exponent);
+          capture.CaptureModExps(bases, window_exponent);
       windowed_seconds =
           std::min(windowed_seconds, Seconds(windowed_begin, Clock::now()));
       PinToOneCpu();
       const auto one_begin = Clock::now();
       const mont::sca::TraceSet one_window =
-          capture.CaptureModExps(bases, exponent);
+          capture.CaptureModExps(bases, window_exponent);
       one_window_seconds =
           std::min(one_window_seconds, Seconds(one_begin, Clock::now()));
       RestoreAffinity(all_cpus);
       same = same && SameTraces(windowed, one_window);
     }
-    const std::size_t windows = capture.ModExpWindows(exponent);
+    const std::size_t windows = capture.ModExpWindows(window_exponent);
     const double speedup = one_window_seconds / windowed_seconds;
     meets_gate = meets_gate && same;
-    std::printf("capture windows (same capture, best of %zu):\n", reps);
+    std::printf("capture windows (%zu-bit exponent, same capture, best of "
+                "%zu):\n",
+                window_exponent.BitLength(), reps);
     std::printf("  1 thread : %10.1f traces/s\n", traces / one_window_seconds);
     std::printf("  %zu threads: %10.1f traces/s  (%.2fx)%s\n\n", windows,
                 traces / windowed_seconds, speedup,
@@ -443,7 +457,7 @@ int main(int argc, char** argv) {
     rows.push_back({{"section", "capture_windows"},
                     {"l", static_cast<unsigned long long>(l)},
                     {"exponent_bits", static_cast<unsigned long long>(
-                                          exponent.BitLength())},
+                                          window_exponent.BitLength())},
                     {"lanes", static_cast<unsigned long long>(bases.size())},
                     {"host_windows", static_cast<unsigned long long>(windows)},
                     {"one_window_traces_per_s", traces / one_window_seconds},

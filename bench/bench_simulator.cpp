@@ -11,9 +11,9 @@
 //
 // Every batch lane is verified against the software Montgomery reference
 // before timing starts, so the numbers are for a simulator that is
-// provably still correct.  Writes BENCH_simulator.json (see
-// bench_json.hpp) for CI trend tracking; --smoke restricts the sweep for
-// the ctest `perf` label.
+// provably still correct.  Prints the toggle kernel the process picked
+// (stdout only).  Writes BENCH_simulator.json (see bench_json.hpp) for CI
+// trend tracking; --smoke restricts the sweep for the ctest `perf` label.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
   const double budget = smoke ? 0.25 : 1.0;
 
   std::printf("=== Gate-level simulation engines: scalar vs 64-lane "
-              "bit-parallel ===\n\n");
+              "bit-parallel ===\n");
+  std::printf("toggle kernel: %s\n\n", mont::rtl::ActiveToggleKernel().name);
   std::printf("%6s | %9s %7s | %12s %13s | %14s | %8s\n", "l", "gates", "FFs",
               "scalar cyc/s", "batch lcyc/s", "gate-evals/s", "speedup");
   std::printf("-------+-------------------+----------------------------+"

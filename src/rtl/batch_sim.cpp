@@ -5,7 +5,19 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>  // declares the avx512f builtin Csa uses
+#endif
+
 namespace mont::rtl {
+
+namespace {
+
+std::size_t RoundUp(std::size_t n, std::size_t block) {
+  return (n + block - 1) / block * block;
+}
+
+}  // namespace
 
 BatchSimulator::BatchSimulator(const CompiledNetlist& compiled)
     : compiled_(compiled) {
@@ -18,7 +30,9 @@ BatchSimulator::BatchSimulator(const Netlist& netlist)
 }
 
 void BatchSimulator::Init() {
-  words_.assign(compiled_.WordCount(), 0);
+  // Padded so that every net's toggle-kernel block lies inside words_.
+  words_.assign(
+      RoundUp(compiled_.WordCount(), ActiveToggleKernel().block_words), 0);
   words_[compiled_.OnesSlot()] = kAllLanes;
   for (const NetId id : compiled_.Const1Nets()) words_[id] = kAllLanes;
   next_state_.assign(compiled_.Dffs().size(), 0);
@@ -185,8 +199,11 @@ void BatchSimulator::Tick() {
 
 void BatchSimulator::EnableToggleCapture() {
   toggle_all_nets_ = true;
+  toggle_tracked_ = compiled_.NetCount();
   toggle_nets_.clear();
-  toggle_prev_.resize(compiled_.NetCount());
+  // The padding words are the zero and ones slots and Init()'s zeros.
+  toggle_prev_.resize(
+      RoundUp(toggle_tracked_, ActiveToggleKernel().block_words));
   ResetToggleBaseline();
 }
 
@@ -198,7 +215,11 @@ void BatchSimulator::EnableToggleCapture(std::span<const NetId> nets) {
     }
   }
   toggle_all_nets_ = false;
+  toggle_tracked_ = nets.size();
   toggle_nets_.assign(nets.begin(), nets.end());
+  toggle_nets_.resize(
+      RoundUp(toggle_tracked_, ActiveToggleKernel().block_words),
+      compiled_.ZeroSlot());
   toggle_prev_.resize(toggle_nets_.size());
   ResetToggleBaseline();
 }
@@ -207,6 +228,7 @@ void BatchSimulator::DisableToggleCapture() {
   toggle_capture_ = false;
   toggle_paused_ = false;
   toggle_all_nets_ = false;
+  toggle_tracked_ = 0;
   toggle_nets_.clear();
   toggle_prev_.clear();
   toggle_counts_.fill(0);
@@ -237,128 +259,152 @@ void BatchSimulator::ResetToggleBaseline() {
 
 namespace {
 
-/// Two 64-lane words in one SSE2 register (GCC/Clang vector extension).
-using Word2 = std::uint64_t __attribute__((vector_size(16)));
-
-/// Four 64-lane words side by side — element j belongs to tree j of four
-/// interleaved Harley–Seal trees — held as a pair of 16-byte vectors.  A
-/// single 32-byte vector type would change the calling convention where
-/// AVX is off (GCC's -Wpsabi), and GCC 12 spills each load of one through
-/// the stack; the pair stays in SSE2 registers.
-struct Word4 {
-  Word2 lo{};
-  Word2 hi{};
-
-  void Load(const std::uint64_t* p) {
-    std::memcpy(&lo, p, sizeof lo);
-    std::memcpy(&hi, p + 2, sizeof hi);
-  }
-  void Store(std::uint64_t* p) const {
-    std::memcpy(p, &lo, sizeof lo);
-    std::memcpy(p + 2, &hi, sizeof hi);
-  }
-  std::uint64_t Tree(std::size_t j) const { return j < 2 ? lo[j] : hi[j - 2]; }
-  bool Any() const {
-    const Word2 both = lo | hi;
-    return (both[0] | both[1]) != 0;
-  }
-  Word4& operator^=(const Word4& o) {
-    lo ^= o.lo;
-    hi ^= o.hi;
-    return *this;
-  }
-  friend Word4 operator^(const Word4& a, const Word4& b) {
-    return {a.lo ^ b.lo, a.hi ^ b.hi};
-  }
-  friend Word4 operator&(const Word4& a, const Word4& b) {
-    return {a.lo & b.lo, a.hi & b.hi};
-  }
-  friend Word4 operator|(const Word4& a, const Word4& b) {
-    return {a.lo | b.lo, a.hi | b.hi};
-  }
+/// K 64-lane words side by side in one GCC vector; element k belongs to
+/// tree k of the kernel's K interleaved Harley–Seal trees.  Vectors are
+/// only ever passed by reference, so no calling convention depends on the
+/// ISA a kernel is built for (GCC's -Wpsabi).  (GCC applies a dependent
+/// vector_size only to a dependent element type.)
+template <typename Word, std::size_t kWords>
+struct VecOf {
+  typedef Word type __attribute__((vector_size(kWords * sizeof(Word))));
 };
+template <std::size_t kWords>
+using Vec = typename VecOf<std::uint64_t, kWords>::type;
+using V16 = Vec<2>;
+using V32 = Vec<4>;
+using V64 = Vec<8>;
 
-/// Carry-save adder over every bit position: high:low = a + b + c.  `low`
-/// may alias an input.
+/// Carry-save adder over every bit position: high:low = a + b + c (high is
+/// the majority, low the parity).  Either output may alias an input.
 template <typename T>
-void Csa(T& high, T& low, const T& a, const T& b, const T& c) {
+[[gnu::always_inline]] inline void Csa(T& high, T& low, const T& a,
+                                       const T& b, const T& c) {
   const T u = a ^ b;
   const T carry = (a & b) | (u & c);
   low = u ^ c;
   high = carry;
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+/// The same as two vpternlogq (GCC 12 emits four ops for the form above).  It
+/// calls the builtin behind _mm512_ternarylogic_epi64, which is expanded
+/// only where this is inlined, into the avx512f entry point: the intrinsic
+/// (or a target attribute here) would make GCC refuse to inline it into
+/// CountToggles, which is built for the baseline ISA until it is inlined.
+/// No vector crosses a call, so -Wpsabi's ABI note does not apply.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+[[gnu::always_inline]] inline void Csa(V64& high, V64& low, const V64& a,
+                                       const V64& b, const V64& c) {
+  using Q = long long __attribute__((vector_size(64)));
+  const Q x = reinterpret_cast<Q>(a);
+  const Q y = reinterpret_cast<Q>(b);
+  const Q z = reinterpret_cast<Q>(c);
+  high = reinterpret_cast<V64>(
+      __builtin_ia32_pternlogq512_mask(x, y, z, 0xe8, 0xff));
+  low = reinterpret_cast<V64>(
+      __builtin_ia32_pternlogq512_mask(x, y, z, 0x96, 0xff));
+}
+#pragma GCC diagnostic pop
+#endif
+
 /// Vertical (bit-sliced) counters: plane p holds bit p of every lane's
 /// count.
 constexpr std::size_t kPlanes = 32;  // covers any NetId count
 
-/// kSpread[x] holds bit j of x in bit 0 of its byte j.
-constexpr std::array<std::uint64_t, 256> kSpread = [] {
-  std::array<std::uint64_t, 256> spread{};
-  for (std::size_t x = 0; x < 256; ++x) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      if ((x >> j) & 1u) spread[x] |= std::uint64_t{1} << (8 * j);
+/// sum[0..top-1] = the sum of the K trees in planes[0..top-1], which must
+/// fit in `top` planes: the upper half of the trees is added into the lower
+/// half with a bit-sliced ripple-carry add until one tree is left.
+template <typename V>
+[[gnu::always_inline]] inline void FoldTrees(const V* planes,
+                                             std::size_t top,
+                                             std::uint64_t* sum) {
+  if constexpr (sizeof(V) == sizeof(std::uint64_t)) {
+    for (std::size_t p = 0; p < top; ++p) sum[p] = planes[p][0];
+  } else {
+    using Half = Vec<sizeof(V) / sizeof(std::uint64_t) / 2>;
+    Half halves[kPlanes];
+    Half carry{};
+    for (std::size_t p = 0; p < top; ++p) {
+      Half lo, hi;
+      std::memcpy(&lo, &planes[p], sizeof lo);
+      std::memcpy(&hi, reinterpret_cast<const char*>(&planes[p]) + sizeof lo,
+                  sizeof hi);
+      Csa(carry, halves[p], lo, hi, carry);
     }
-  }
-  return spread;
-}();
-
-/// planes += carry << p.
-void Ripple(std::uint64_t* planes, std::size_t p, std::uint64_t carry) {
-  for (; carry != 0 && p < kPlanes; ++p) {
-    const std::uint64_t next = planes[p] & carry;
-    planes[p] ^= carry;
-    carry = next;
-  }
-}
-void Ripple(Word4* planes, std::size_t p, Word4 carry) {
-  for (; p < kPlanes && carry.Any(); ++p) {
-    const Word4 next = planes[p] & carry;
-    planes[p] ^= carry;
-    carry = next;
+    FoldTrees(halves, top, sum);
   }
 }
 
-/// Counts, per lane, the tracked words that differ from prev[0..n-1] and
-/// refreshes prev.  The tracked words are w[0..n-1] (kAllNets) or
-/// w[nets[0..n-1]].  Four Harley–Seal trees run interleaved over blocks of
-/// 64 words, tree j taking the words at 4k + j: each block leaves one
-/// Word4 of sixteens, and only that carry ripples into the planes above
-/// the four accumulators.  The words past the last block ripple in four at
-/// a time, the four trees' counters are summed once, the last n % 4 words
-/// ripple in one at a time, and the planes are unpacked into counts.
-template <bool kAllNets>
-void CountToggles(std::size_t n, const std::uint64_t* w, const NetId* nets,
-                  std::uint64_t* prev,
-                  std::array<std::uint32_t, BatchSimulator::kLanes>& counts) {
-  const auto word = [w, nets](std::size_t i) {
-    if constexpr (kAllNets) {
-      return w[i];
-    } else {
-      return w[nets[i]];
+/// counts[lane] = bits 0..top-1 of that lane across planes[0..top-1],
+/// branch-free, in vectors U of as many 32-bit lanes as fit in V: each
+/// plane's bits for those lanes are broadcast, shifted into place lane by
+/// lane and appended below the bits of the planes above.
+template <typename V>
+[[gnu::always_inline]] inline void UnpackPlanes(const std::uint64_t* planes,
+                                               std::size_t top,
+                                               std::uint32_t* counts) {
+  constexpr std::size_t kGroup = sizeof(V) / sizeof(std::uint32_t);
+  using U = typename VecOf<std::uint32_t, kGroup>::type;
+  U shift;
+  for (std::size_t j = 0; j < kGroup; ++j) shift[j] = j;
+  for (std::size_t g = 0; g < BatchSimulator::kLanes; g += kGroup) {
+    U count{};
+    for (std::size_t p = top; p-- > 0;) {
+      const U bits = U{} + static_cast<std::uint32_t>(planes[p] >> g);
+      count = (count + count) | ((bits >> shift) & 1);
     }
-  };
-  // x = words i..i+3 XOR their previous values; prev takes the words.
-  const auto toggled = [&](Word4& x, std::size_t i) {
+    std::memcpy(counts + g, &count, sizeof count);
+  }
+}
+
+/// The kernel of ToggleKernel::count over vectors V of K words: tree k
+/// takes the tracked words at K·j + k.  Each block of sixteen vectors runs
+/// through the four accumulators (ones, twos, fours, eights); its carry of
+/// sixteens ripples into the planes above them over a fixed number of
+/// planes, so nothing branches on the data.  The K trees are then folded
+/// into one and its planes unpacked into counts.
+template <typename V, bool kAllNets>
+[[gnu::always_inline]] inline void CountToggles(std::size_t tracked,
+                                                const std::uint64_t* w,
+                                                const NetId* nets,
+                                                std::uint64_t* prev,
+                                                std::uint32_t* counts) {
+  constexpr std::size_t kWords = sizeof(V) / sizeof(std::uint64_t);
+  constexpr std::size_t kBlock = 16 * kWords;
+  // A count is at most `tracked`, so `top` planes hold it exactly; one
+  // tree counts at most 16 words per block.
+  const std::size_t top =
+      std::min(kPlanes, static_cast<std::size_t>(std::bit_width(tracked)));
+  const std::size_t blocks = (tracked + kBlock - 1) / kBlock;
+  const std::size_t tree_top =
+      std::min(top, 4 + static_cast<std::size_t>(std::bit_width(blocks)));
+  // x = the K tracked words at i XOR their previous values; prev takes
+  // the words.  The lambdas are always_inline (in the GNU spelling, the
+  // one GCC applies to a lambda's body) so that no build, -O0 included,
+  // emits them apart from the entry point whose ISA they need.
+  const auto toggled = [&](V& x, std::size_t i)
+                           __attribute__((always_inline)) {
     if constexpr (kAllNets) {
-      x.Load(w + i);
+      std::memcpy(&x, w + i, sizeof x);
     } else {
-      x = {Word2{word(i), word(i + 1)}, Word2{word(i + 2), word(i + 3)}};
+      for (std::size_t k = 0; k < kWords; ++k) x[k] = w[nets[i + k]];
     }
-    Word4 before;
-    before.Load(prev + i);
-    x.Store(prev + i);
+    V before;
+    std::memcpy(&before, prev + i, sizeof before);
+    std::memcpy(prev + i, &x, sizeof x);
     x ^= before;
   };
-  Word4 planes4[kPlanes] = {};
-  Word4 ones, twos, fours, eights;
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    Word4 x0, x1, twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
-    Word4 sixteens;
-    const auto pair = [&](Word4& twos_out, std::size_t k) {
-      toggled(x0, i + 4 * k);
-      toggled(x1, i + 4 * k + 4);
+  V planes[kPlanes];
+  for (std::size_t p = 4; p < top; ++p) planes[p] = V{};
+  V ones{}, twos{}, fours{}, eights{};
+  for (std::size_t i = 0; i < blocks * kBlock; i += kBlock) {
+    V x0, x1, twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
+    V sixteens;
+    const auto pair = [&](V& twos_out, std::size_t j)
+                          __attribute__((always_inline)) {
+      toggled(x0, i + kWords * j);
+      toggled(x1, i + kWords * (j + 1));
       Csa(twos_out, ones, ones, x0, x1);
     };
     pair(twos_a, 0);
@@ -376,66 +422,89 @@ void CountToggles(std::size_t n, const std::uint64_t* w, const NetId* nets,
     Csa(fours_b, twos, twos, twos_a, twos_b);
     Csa(eights_b, fours, fours, fours_a, fours_b);
     Csa(sixteens, eights, eights, eights_a, eights_b);
-    Ripple(planes4, 4, sixteens);
-  }
-  planes4[0] = ones;
-  planes4[1] = twos;
-  planes4[2] = fours;
-  planes4[3] = eights;
-  for (; i + 4 <= n; i += 4) {
-    Word4 x;
-    toggled(x, i);
-    Ripple(planes4, 0, x);
-  }
-  // Sum the trees with bit-sliced ripple-carry adds over the planes a
-  // count of at most n can occupy.
-  const std::size_t top =
-      std::min(kPlanes, static_cast<std::size_t>(std::bit_width(n)));
-  std::uint64_t planes[kPlanes] = {};
-  for (std::size_t tree = 0; tree < 4; ++tree) {
-    std::uint64_t carry = 0;
-    for (std::size_t p = 0; p < top; ++p) {
-      const std::uint64_t a = planes[p];
-      const std::uint64_t b = planes4[p].Tree(tree);
-      const std::uint64_t u = a ^ b;
-      planes[p] = u ^ carry;
-      carry = (a & b) | (u & carry);
+    for (std::size_t p = 4; p < tree_top; ++p) {
+      const V carry = planes[p] & sixteens;
+      planes[p] ^= sixteens;
+      sixteens = carry;
     }
   }
-  for (; i < n; ++i) {
-    const std::uint64_t current = word(i);
-    Ripple(planes, 0, current ^ prev[i]);
-    prev[i] = current;
+  planes[0] = ones;
+  planes[1] = twos;
+  planes[2] = fours;
+  planes[3] = eights;
+  std::uint64_t sum[kPlanes];
+  FoldTrees(planes, top, sum);
+  UnpackPlanes<V>(sum, top, counts);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void CountTogglesOf(
+    std::size_t tracked, const std::uint64_t* w, const NetId* nets,
+    std::uint64_t* prev, std::uint32_t* counts) {
+  if (nets == nullptr) {
+    CountToggles<V, true>(tracked, w, nets, prev, counts);
+  } else {
+    CountToggles<V, false>(tracked, w, nets, prev, counts);
   }
-  // Unpack eight lanes at a time, branch-free: bytes[g] holds, in its byte
-  // j, bits 8g..8g+7 of the count of lane 8b + j.
-  for (std::size_t b = 0; b < 8; ++b) {
-    std::uint64_t bytes[kPlanes / 8] = {};
-    for (std::size_t p = 0; p < top; ++p) {
-      bytes[p / 8] |= kSpread[(planes[p] >> (8 * b)) & 0xff] << (p % 8);
-    }
-    for (std::size_t j = 0; j < 8; ++j) {
-      std::uint32_t count = 0;
-      for (std::size_t g = 0; 8 * g < top; ++g) {
-        const std::uint64_t byte = (bytes[g] >> (8 * j)) & 0xff;
-        count |= static_cast<std::uint32_t>(byte) << (8 * g);
-      }
-      counts[8 * b + j] = count;
-    }
-  }
+}
+
+// The entry points: `flatten` and the helpers' always_inline put the whole
+// kernel inside each, so every vector op is lowered for the entry point's
+// ISA and no baseline-ISA helper runs with dirty upper vector registers.
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx512f"), gnu::flatten]] void CountTogglesV64(
+    std::size_t tracked, const std::uint64_t* w, const NetId* nets,
+    std::uint64_t* prev, std::uint32_t* counts) {
+  CountTogglesOf<V64>(tracked, w, nets, prev, counts);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void CountTogglesV32(
+    std::size_t tracked, const std::uint64_t* w, const NetId* nets,
+    std::uint64_t* prev, std::uint32_t* counts) {
+  CountTogglesOf<V32>(tracked, w, nets, prev, counts);
+}
+#endif
+
+[[gnu::flatten]] void CountTogglesV16(std::size_t tracked,
+                                      const std::uint64_t* w,
+                                      const NetId* nets, std::uint64_t* prev,
+                                      std::uint32_t* counts) {
+  CountTogglesOf<V16>(tracked, w, nets, prev, counts);
 }
 
 }  // namespace
 
+std::span<const ToggleKernel> ToggleKernels() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const std::array<ToggleKernel, 3> kernels = [] {
+    __builtin_cpu_init();
+    return std::array<ToggleKernel, 3>{{
+        {"avx512f", 16 * 8, __builtin_cpu_supports("avx512f") != 0,
+         &CountTogglesV64},
+        {"avx2", 16 * 4, __builtin_cpu_supports("avx2") != 0,
+         &CountTogglesV32},
+        {"sse2", 16 * 2, true, &CountTogglesV16},
+    }};
+  }();
+#else
+  static const std::array<ToggleKernel, 1> kernels{{
+      {"generic", 16 * 2, true, &CountTogglesV16},
+  }};
+#endif
+  return kernels;
+}
+
+const ToggleKernel& ActiveToggleKernel() {
+  static const ToggleKernel& active = *std::find_if(
+      ToggleKernels().begin(), ToggleKernels().end(),
+      [](const ToggleKernel& kernel) { return kernel.supported; });
+  return active;
+}
+
 void BatchSimulator::AccumulateToggles() {
-  if (toggle_all_nets_) {
-    CountToggles<true>(toggle_prev_.size(), words_.data(), nullptr,
-                       toggle_prev_.data(), toggle_counts_);
-  } else {
-    CountToggles<false>(toggle_nets_.size(), words_.data(),
-                        toggle_nets_.data(), toggle_prev_.data(),
-                        toggle_counts_);
-  }
+  ActiveToggleKernel().count(toggle_tracked_, words_.data(),
+                             toggle_all_nets_ ? nullptr : toggle_nets_.data(),
+                             toggle_prev_.data(), toggle_counts_.data());
 }
 
 void BatchSimulator::Run(std::size_t n) {

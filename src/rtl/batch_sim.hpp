@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <map>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -113,15 +114,17 @@ class BatchSimulator {
   // sample per clock cycle counting the nets whose value changed on that
   // edge, independently for each of the 64 lanes.  The accumulation is
   // bit-sliced (vertical counters) and carry-save: the nets' 64-lane XOR
-  // words enter four interleaved Harley–Seal adder trees, sixteen words
-  // per tree at a time in SSE2 register pairs, so each net costs a
-  // fraction of a branch-free vector op instead of 64 popcounts, and the
-  // per-lane counts are unpacked eight lanes at a time through a spread
-  // table (about 1.0-1.4 us per edge over the 1916 nets of the 64-bit
-  // MMMC).  Plain simulation got cheaper still, so a full-net ModExp
-  // capture on that circuit takes about 1.9x the time of plain simulation
-  // of the same multiplications on one CPU (bench_sca's capture_overhead
-  // row; 1.64-2.03x over five --smoke runs, gated at 2.2x).
+  // words enter K interleaved Harley–Seal adder trees, sixteen vectors of
+  // K words per block, so each net costs a fraction of a branch-free
+  // vector op instead of 64 popcounts (see ToggleKernel; K = 8 with
+  // AVX-512).  The tracked words are padded to a whole block with words
+  // that never change, so no tail loop runs, and the words and their
+  // previous values are cache-line aligned (about 6% per captured edge).
+  // On the 64-bit MMMC (1916 nets) a full-net edge costs about 0.45 us of
+  // counting with the AVX-512 kernel beside about 1.35 us of settling and
+  // latching, and a full-net ModExp capture on one CPU takes about 1.4x
+  // the time of plain simulation of the same multiplications (bench_sca's
+  // capture_overhead row, gated at 2.2x).
 
   /// Enables per-cycle toggle accounting over every net of the circuit.
   /// The snapshot taken here is the baseline the next Tick()'s counts are
@@ -142,7 +145,7 @@ class BatchSimulator {
   /// True while counting (false while disabled or paused).
   bool ToggleCaptureEnabled() const { return toggle_capture_; }
   /// Number of tracked nets (0 while capture is disabled).
-  std::size_t TrackedNetCount() const { return toggle_prev_.size(); }
+  std::size_t TrackedNetCount() const { return toggle_tracked_; }
   /// Per-lane count of tracked nets that changed across the most recent
   /// Tick() (all zeros before the first Tick() after enabling).
   const std::array<std::uint32_t, kLanes>& ToggleCounts() const {
@@ -188,6 +191,25 @@ class BatchSimulator {
     std::uint64_t raw = 0;
   };
 
+  /// Allocates whole 64-byte cache lines, so that no vector load or store
+  /// of the toggle kernel splits a line.
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+    LineAllocator() = default;
+    template <typename U>
+    LineAllocator(const LineAllocator<U>&) noexcept {}  // NOLINT
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T* p, std::size_t n) noexcept {
+      ::operator delete(p, n * sizeof(T), kAlign);
+    }
+    friend bool operator==(LineAllocator, LineAllocator) { return true; }
+  };
+  using Words = std::vector<std::uint64_t, LineAllocator<std::uint64_t>>;
+
   static std::uint64_t ApplyMasks(const FaultMasks& m, std::uint64_t v) {
     return (((v ^ m.invert) | m.stuck1) & ~m.stuck0);
   }
@@ -207,21 +229,25 @@ class BatchSimulator {
 
   std::unique_ptr<const CompiledNetlist> owned_;
   const CompiledNetlist& compiled_;
-  std::vector<std::uint64_t> words_;
+  Words words_;
   std::vector<std::uint64_t> next_state_;
   /// Indices of the latch groups clocked on the current edge.
   std::vector<std::uint32_t> active_groups_;
   std::uint64_t cycles_ = 0;
   bool dirty_ = true;
 
-  /// Toggle accounting: tracked nets (empty while every net is tracked, in
-  /// NetId order), their previous post-Tick values, and the per-lane
-  /// counts of the most recent Tick.
+  /// Toggle accounting: the number of tracked nets, the tracked nets
+  /// (empty while every net is tracked, in NetId order, else padded with
+  /// the zero slot to a whole kernel block), their previous post-Tick
+  /// values (as many as the padded tracked words), and the per-lane counts
+  /// of the most recent Tick.  words_ is padded so that every net's block
+  /// lies inside it.
   bool toggle_capture_ = false;
   bool toggle_paused_ = false;
   bool toggle_all_nets_ = false;
+  std::size_t toggle_tracked_ = 0;
   std::vector<NetId> toggle_nets_;
-  std::vector<std::uint64_t> toggle_prev_;
+  Words toggle_prev_;
   std::array<std::uint32_t, kLanes> toggle_counts_{};
 
   /// Authoritative sparse fault store (ordered => deterministic tables).
@@ -235,5 +261,37 @@ class BatchSimulator {
   /// flip-flops, applied at latch commit.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> dff_fault_hooks_;
 };
+
+/// One instantiation of the toggle-count kernel behind
+/// BatchSimulator::ToggleCounts(), for one x86 ISA.  The kernel counts, per
+/// lane, the tracked words that differ from their previous values: a
+/// vertical Harley–Seal carry-save counter (Muła, Kurz and Lemire, "Faster
+/// Population Counts Using AVX2 Instructions", Computer Journal 2018) over
+/// GCC vectors of K 64-lane words, where K trees run interleaved.  Each
+/// block of sixteen vectors leaves one vector of sixteens, which a
+/// fixed-length, branch-free ripple adds into planes 4 and up: as many as
+/// one tree's count can reach, never more than P = bit_width(tracked), so
+/// any count stays exact.  Once per call the K trees are folded into one
+/// by halves and its P planes unpacked into 32-bit counts, a vector of
+/// lanes at a time.
+struct ToggleKernel {
+  const char* name;         ///< the ISA it is built for: "avx512f", ...
+  std::size_t block_words;  ///< 16 vectors of K words
+  bool supported;           ///< this CPU runs it
+  /// counts[lane] = number of i < tracked with bit `lane` of word(i) ^
+  /// prev[i] set, where word(i) = nets ? w[nets[i]] : w[i]; then prev[i] =
+  /// word(i).  Reads word(i) and prev[i] for every i below `tracked`
+  /// rounded up to a multiple of block_words; those past `tracked` must
+  /// equal their prev.
+  void (*count)(std::size_t tracked, const std::uint64_t* w,
+                const NetId* nets, std::uint64_t* prev,
+                std::uint32_t* counts);
+};
+
+/// Every kernel built in, widest first; the last runs on any CPU.
+std::span<const ToggleKernel> ToggleKernels();
+/// The kernel BatchSimulator uses: the widest one this CPU supports,
+/// chosen once per process.
+const ToggleKernel& ActiveToggleKernel();
 
 }  // namespace mont::rtl

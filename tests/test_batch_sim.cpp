@@ -8,7 +8,8 @@
 // equivalence: a lane-parallel fault campaign reports fault-for-fault the
 // same FaultCoverage as the sequential one; the compiled stream's layout
 // (runs, latch groups, topological order); and the toggle counters: every
-// ToggleCounts() equals an oracle that diffs full net snapshots bit by bit.
+// ToggleCounts() equals an oracle that diffs full net snapshots bit by bit,
+// and so does every toggle kernel this CPU supports, called directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -833,6 +834,7 @@ void CheckTogglesAgainstOracle(const Netlist& nl,
   ASSERT_EQ(sim.TrackedNetCount(), oracle_nets.size());
   std::vector<std::uint64_t> before = SnapshotWords(sim, net_count);
   std::uint64_t total = 0;
+  std::uint32_t most = 0;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     for (const auto& [input, name] : nl.Inputs()) sim.SetInput(input, rng());
     sim.Tick();
@@ -842,35 +844,50 @@ void CheckTogglesAgainstOracle(const Netlist& nl,
       ASSERT_EQ(sim.ToggleCounts()[lane], expected[lane])
           << "cycle " << cycle << " lane " << lane;
       total += expected[lane];
+      most = std::max(most, expected[lane]);
     }
     before = after;
   }
   if (!tracked.has_value()) {
     EXPECT_GT(total, 0u) << "the stimulus must make the circuit switch";
   }
+  if (oracle_nets.size() > 4096) {
+    EXPECT_GE(most, 4096u) << "some count must need 13 planes";
+  }
 }
 
 /// The tracked-set shapes the counter must get right: empty, a single
-/// net, one short of / exactly / one past a 16-net carry-save block, two
-/// blocks plus one, every net, and a subset listing a net twice.
+/// net, one short of / exactly / one past a block of every toggle kernel
+/// (16 vectors of 2, 4 or 8 words), two blocks plus one, every net, a
+/// subset listing a net twice, and a list of more than 4096 entries that
+/// repeats the primary input `hot`, so that a count on every lane where it
+/// switches needs 13 planes.
 std::vector<std::optional<std::vector<NetId>>> TrackedSets(
-    std::size_t net_count, std::mt19937_64& rng) {
-  std::vector<std::optional<std::vector<NetId>>> sets;
-  for (const std::size_t size : {0, 1, 15, 16, 17, 33}) {
+    std::size_t net_count, NetId hot, std::mt19937_64& rng) {
+  const auto random_nets = [&](std::size_t size) {
     std::vector<NetId> nets;
     for (std::size_t i = 0; i < size; ++i) {
       nets.push_back(static_cast<NetId>(rng() % net_count));
     }
-    sets.emplace_back(nets);
+    return nets;
+  };
+  std::vector<std::optional<std::vector<NetId>>> sets;
+  sets.emplace_back(random_nets(0));
+  sets.emplace_back(random_nets(1));
+  for (const std::size_t block : {32, 64, 128}) {
+    for (const std::size_t size :
+         {block - 1, block, block + 1, 2 * block + 1}) {
+      sets.emplace_back(random_nets(size));
+    }
   }
   sets.emplace_back(std::nullopt);
-  std::vector<NetId> with_duplicate;
-  for (std::size_t i = 0; i < 20; ++i) {
-    with_duplicate.push_back(static_cast<NetId>(rng() % net_count));
-  }
+  std::vector<NetId> with_duplicate = random_nets(20);
   with_duplicate.push_back(with_duplicate[3]);
   with_duplicate.push_back(with_duplicate[3]);
   sets.emplace_back(with_duplicate);
+  std::vector<NetId> heavy(4500, hot);
+  for (const NetId id : random_nets(101)) heavy.push_back(id);
+  sets.emplace_back(heavy);
   return sets;
 }
 
@@ -878,7 +895,8 @@ TEST(BatchToggles, CountsMatchSnapshotOracleOnSmallNetlist) {
   std::mt19937_64 rng(mont::test::TestSeed());
   const RandomNetlist rn = BuildRandomNetlist(rng, /*n_inputs=*/6,
                                               /*n_dffs=*/8, /*n_gates=*/80);
-  for (const auto& tracked : TrackedSets(rn.netlist.NodeCount(), rng)) {
+  for (const auto& tracked : TrackedSets(rn.netlist.NodeCount(),
+                                         rn.inputs.front(), rng)) {
     for (const bool faults : {false, true}) {
       CheckTogglesAgainstOracle(rn.netlist, tracked, faults, rng, 24);
     }
@@ -888,11 +906,115 @@ TEST(BatchToggles, CountsMatchSnapshotOracleOnSmallNetlist) {
 TEST(BatchToggles, CountsMatchSnapshotOracleOnMmmc64) {
   std::mt19937_64 rng(mont::test::TestSeed(1));
   const auto gen = core::BuildMmmcNetlist(64);
-  for (const auto& tracked : TrackedSets(gen.netlist->NodeCount(), rng)) {
+  for (const auto& tracked :
+       TrackedSets(gen.netlist->NodeCount(), gen.start, rng)) {
     for (const bool faults : {false, true}) {
       CheckTogglesAgainstOracle(*gen.netlist, tracked, faults, rng, 12);
     }
   }
+}
+
+// Every toggle kernel this CPU supports, not only the one BatchSimulator
+// picked, against the oracle on MMMC-64 edges: the kernel is called on
+// snapshots of the nets, padded to its block as BatchSimulator pads them.
+class ToggleKernelTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ToggleKernelTest, MatchesOracleOnMmmc64) {
+  const ToggleKernel& kernel = ToggleKernels()[GetParam()];
+  if (!kernel.supported) {
+    GTEST_SKIP() << "this CPU lacks " << kernel.name;
+  }
+  std::mt19937_64 rng(mont::test::TestSeed(2));
+  const auto gen = core::BuildMmmcNetlist(64);
+  const Netlist& nl = *gen.netlist;
+  const std::size_t net_count = nl.NodeCount();
+  const auto padded = [&](std::size_t n) {
+    return (n + kernel.block_words - 1) / kernel.block_words *
+           kernel.block_words;
+  };
+  for (const auto& tracked : TrackedSets(net_count, gen.start, rng)) {
+    for (const bool faults : {false, true}) {
+      SCOPED_TRACE(std::string(kernel.name) +
+                   (tracked ? ", subset of " + std::to_string(tracked->size())
+                            : std::string(", all nets")) +
+                   (faults ? ", faulted" : ""));
+      BatchSimulator sim(nl);
+      if (faults) {
+        std::vector<BatchSimulator::LaneFault> population;
+        for (int i = 0; i < 6; ++i) {
+          population.push_back({static_cast<NetId>(rng() % net_count),
+                                static_cast<FaultType>(rng() % 3), rng()});
+        }
+        sim.InjectFaults(population);
+      }
+      // All nets: words 0..net_count-1 padded with zeros.  A subset: its
+      // nets padded with `net_count`, a word that stays 0.
+      std::vector<NetId> nets;
+      std::vector<NetId> oracle_nets;
+      std::size_t count = net_count;
+      if (tracked) {
+        oracle_nets = *tracked;
+        count = tracked->size();
+        nets = *tracked;
+        nets.resize(padded(count), static_cast<NetId>(net_count));
+      } else {
+        for (NetId id = 0; id < net_count; ++id) oracle_nets.push_back(id);
+      }
+      const std::size_t words = std::max(padded(net_count), net_count + 1);
+      const auto snapshot = [&] {
+        std::vector<std::uint64_t> w = SnapshotWords(sim, net_count);
+        w.resize(words, 0);
+        return w;
+      };
+      const auto word = [&](const std::vector<std::uint64_t>& w,
+                            std::size_t i) {
+        return tracked ? w[nets[i]] : w[i];
+      };
+      std::vector<std::uint64_t> before = snapshot();
+      std::vector<std::uint64_t> prev(padded(count));
+      for (std::size_t i = 0; i < prev.size(); ++i) prev[i] = word(before, i);
+      std::uint32_t most = 0;
+      for (int cycle = 0; cycle < 12; ++cycle) {
+        for (const auto& [input, name] : nl.Inputs()) {
+          sim.SetInput(input, rng());
+        }
+        sim.Tick();
+        const std::vector<std::uint64_t> after = snapshot();
+        std::array<std::uint32_t, kLanes> counts{};
+        kernel.count(count, after.data(), tracked ? nets.data() : nullptr,
+                     prev.data(), counts.data());
+        ASSERT_EQ(counts, OracleToggles(before, after, oracle_nets))
+            << "cycle " << cycle;
+        for (std::size_t i = 0; i < prev.size(); ++i) {
+          ASSERT_EQ(prev[i], word(after, i)) << "cycle " << cycle;
+        }
+        most = std::max(most, *std::max_element(counts.begin(), counts.end()));
+        before = after;
+      }
+      if (count > 4096) {
+        EXPECT_GE(most, 4096u) << "some count must need 13 planes";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKernel, ToggleKernelTest,
+    ::testing::Range<std::size_t>(0, ToggleKernels().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(ToggleKernels()[info.param].name);
+    });
+
+// BatchSimulator counts with the widest kernel this CPU supports.
+TEST(BatchToggles, ActiveKernelIsTheWidestSupported) {
+  const ToggleKernel& active = ActiveToggleKernel();
+  EXPECT_TRUE(active.supported);
+  for (const ToggleKernel& kernel : ToggleKernels()) {
+    if (&kernel == &active) break;
+    EXPECT_FALSE(kernel.supported) << kernel.name;
+  }
+  EXPECT_TRUE(ToggleKernels().back().supported);
+  EXPECT_EQ(&ActiveToggleKernel(), &active);
 }
 
 // An empty selection tracks nothing; only the no-argument overload tracks
