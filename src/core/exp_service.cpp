@@ -138,11 +138,9 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a, const BigUInt& base_a,
 ExecutionCore::ExecutionCore(std::string engine_name,
                              EngineOptions engine_options,
                              std::size_t cache_capacity,
-                             std::uint64_t blind_seed,
                              obs::Registry* registry)
     : engine_name_(std::move(engine_name)),
       engine_options_(engine_options),
-      blind_rng_(blind_seed),
       cache_(cache_capacity == 0 ? 1 : cache_capacity) {
   if (registry != nullptr) {
     metrics_.engine_cycles = registry->GetCounter("engine.cycles");
@@ -200,16 +198,6 @@ bool ExecutionCore::Pairable(const ExpJobOptions& options) const {
       ->caps.pairable_streams;
 }
 
-BigUInt ExecutionCore::EffectiveExponent(const JobSpec& spec) {
-  if (spec.options.exponent_blind_order.IsZero()) return spec.exponent;
-  BigUInt k;
-  {
-    std::lock_guard<std::mutex> lk(blind_mu_);
-    k = blind_rng_.ExactBits(spec.options.exponent_blind_bits);
-  }
-  return spec.exponent + k * spec.options.exponent_blind_order;
-}
-
 std::shared_ptr<const MmmEngine> ExecutionCore::AcquireEngine(
     const std::string& engine_name, const BigUInt& modulus) {
   // Hex digits never collide with the separator, so (engine, modulus)
@@ -261,17 +249,17 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
       const auto engine_b =
           AcquireEngine(ResolveEngineName(group[1]->options),
                         group[1]->modulus);
-      // Per-job engine overrides can bond two backends on one issue —
+      // Per-job engine overrides can put two backends on one issue —
       // any mix works as long as both model pairable array streams of
-      // equal operand length (a bonded SubmitPair of unequal-capability
-      // jobs falls back to solo issues instead of failing).
+      // equal operand length; any other 2-job group falls back to solo
+      // issues instead of failing.
       if (engine_a->Caps().pairable_streams &&
           engine_b->Caps().pairable_streams &&
           engine_a->l() == engine_b->l() &&
           engine_a->Field() == engine_b->Field()) {
-        PairedExpResult paired = PairedModExp(
-            *engine_a, group[0]->base, EffectiveExponent(*group[0]),
-            *engine_b, group[1]->base, EffectiveExponent(*group[1]));
+        PairedExpResult paired =
+            PairedModExp(*engine_a, group[0]->base, group[0]->exponent,
+                         *engine_b, group[1]->base, group[1]->exponent);
         outcome.results[0].value = std::move(paired.a);
         outcome.results[1].value = std::move(paired.b);
         outcome.results[0].stats = paired.stats_a;
@@ -303,8 +291,8 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
         const auto engine = AcquireEngine(
             ResolveEngineName(group[i]->options), group[i]->modulus);
         ExpResult& result = outcome.results[i];
-        result.value = RunSolo(*engine, group[i]->base,
-                               EffectiveExponent(*group[i]), &result.stats);
+        result.value = RunSolo(*engine, group[i]->base, group[i]->exponent,
+                               &result.stats);
         PublishGroupStats(result.stats);
       }
     }
@@ -367,7 +355,7 @@ Dispatcher::Dispatcher(ExpServiceOptions options)
       registry_(options_.registry != nullptr ? options_.registry
                                              : owned_registry_.get()),
       core_(options_.engine_name, options_.engine_options,
-            options_.engine_cache_capacity, options_.blind_seed, registry_),
+            options_.engine_cache_capacity, registry_),
       sched_(SchedulerConfig(options_, registry_)) {
   metrics_.jobs_submitted = registry_->GetCounter("jobs.submitted");
   metrics_.jobs_completed = registry_->GetCounter("jobs.completed");
@@ -380,9 +368,10 @@ Dispatcher::Dispatcher(ExpServiceOptions options)
   // schedule; a backend without pairable streams (word-serial datapaths)
   // must not report fictitious dual-channel throughput.  That is
   // enforced per job — non-pairable jobs are submitted unpairable and
-  // RunGroup falls back to solo issue for bonded pairs — rather than by
-  // disabling pairing service-wide, so jobs whose ExpJobOptions override
-  // selects a pairable backend still co-schedule.
+  // RunGroup runs any 2-job group its backends cannot co-schedule as
+  // solo issues — rather than by disabling pairing service-wide, so
+  // jobs whose ExpJobOptions override selects a pairable backend still
+  // co-schedule.
 }
 
 std::uint64_t Dispatcher::TraceId(const Job& job) {
@@ -395,30 +384,12 @@ Dispatcher::Job Dispatcher::Prepare(BigUInt modulus, BigUInt base,
   core_.ValidateModulus(modulus);
   Job job;
   job.pairable = core_.Pairable(options);
-  if (!options.exponent_blind_order.IsZero() &&
-      options.exponent_blind_bits == 0) {
-    throw std::invalid_argument(
-        "ExpService: exponent_blind_bits must be >= 1 when blinding");
-  }
   job.spec.modulus = std::move(modulus);
   job.spec.base = std::move(base);
   job.spec.exponent = std::move(exponent);
   job.spec.options = std::move(options);
   job.callback = std::move(callback);
   return job;
-}
-
-Dispatcher::PreparedPair Dispatcher::PreparePair(
-    BigUInt modulus_a, BigUInt base_a, BigUInt exponent_a, BigUInt modulus_b,
-    BigUInt base_b, BigUInt exponent_b) const {
-  PreparedPair pair;
-  // Unequal lengths cannot share an array; they run as plain jobs.
-  pair.bonded = modulus_a.BitLength() == modulus_b.BitLength();
-  pair.jobs[0] = Prepare(std::move(modulus_a), std::move(base_a),
-                         std::move(exponent_a), {}, {});
-  pair.jobs[1] = Prepare(std::move(modulus_b), std::move(base_b),
-                         std::move(exponent_b), {}, {});
-  return pair;
 }
 
 void Dispatcher::Enter(Job job, std::uint64_t now) {
@@ -432,22 +403,6 @@ void Dispatcher::Enter(Job job, std::uint64_t now) {
   }
   sched_.Submit(job.id, key, job.pairable, now);
   pending_.emplace(job.id, std::move(job));
-}
-
-void Dispatcher::EnterBonded(std::array<Job, 2> jobs, std::uint64_t now) {
-  for (Job& job : jobs) {
-    if (job.id == 0) AssignId(&job);
-    job.submit_tick = now;
-  }
-  metrics_.jobs_submitted.Add(2);
-  if (Tracing()) {
-    for (const Job& job : jobs) {
-      options_.tracer->Instant("job.submit", TraceId(job), 0, now,
-                               {{"job", job.id}, {"bonded", 1}});
-    }
-  }
-  sched_.SubmitBonded(jobs[0].id, jobs[1].id, now);
-  for (Job& job : jobs) pending_.emplace(job.id, std::move(job));
 }
 
 std::vector<Dispatcher::Group> Dispatcher::Claim(std::size_t worker,
@@ -642,27 +597,6 @@ std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
   return futures;
 }
 
-std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
-ExpService::SubmitPair(BigUInt modulus_a, BigUInt base_a, BigUInt exponent_a,
-                       BigUInt modulus_b, BigUInt base_b, BigUInt exponent_b) {
-  Dispatcher::PreparedPair pair = dispatcher_.PreparePair(
-      std::move(modulus_a), std::move(base_a), std::move(exponent_a),
-      std::move(modulus_b), std::move(base_b), std::move(exponent_b));
-  if (!pair.bonded) {
-    auto first = Enqueue(std::move(pair.jobs[0]));
-    auto second = Enqueue(std::move(pair.jobs[1]));
-    return {std::move(first), std::move(second)};
-  }
-  std::future<Result> first = pair.jobs[0].promise.get_future();
-  std::future<Result> second = pair.jobs[1].promise.get_future();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    dispatcher_.EnterBonded(std::move(pair.jobs), clock_->Now());
-  }
-  cv_.notify_all();
-  return {std::move(first), std::move(second)};
-}
-
 void ExpService::Post(std::function<void()> continuation) {
   {
     std::lock_guard<std::mutex> lk(cont_mu_);
@@ -811,42 +745,6 @@ std::future<DeterministicExecutor::Result> DeterministicExecutor::SubmitJobAt(
   return future;
 }
 
-std::pair<std::future<DeterministicExecutor::Result>,
-          std::future<DeterministicExecutor::Result>>
-DeterministicExecutor::SubmitPairAt(std::uint64_t tick, BigUInt modulus_a,
-                                    BigUInt base_a, BigUInt exponent_a,
-                                    BigUInt modulus_b, BigUInt base_b,
-                                    BigUInt exponent_b) {
-  Dispatcher::PreparedPair pair = dispatcher_.PreparePair(
-      std::move(modulus_a), std::move(base_a), std::move(exponent_a),
-      std::move(modulus_b), std::move(base_b), std::move(exponent_b));
-  if (!pair.bonded) {
-    auto first = SubmitJobAt(tick, std::move(pair.jobs[0]));
-    auto second = SubmitJobAt(tick, std::move(pair.jobs[1]));
-    return {std::move(first), std::move(second)};
-  }
-  for (Dispatcher::Job& job : pair.jobs) dispatcher_.AssignId(&job);
-  std::future<Result> first = pair.jobs[0].promise.get_future();
-  std::future<Result> second = pair.jobs[1].promise.get_future();
-  auto shared =
-      std::make_shared<std::array<Dispatcher::Job, 2>>(std::move(pair.jobs));
-  Schedule(tick, [this, shared] {
-    dispatcher_.EnterBonded(std::move(*shared), now_);
-    TryDispatch();
-  });
-  return {std::move(first), std::move(second)};
-}
-
-void DeterministicExecutor::PostAt(std::uint64_t tick,
-                                   std::function<void()> continuation) {
-  Schedule(tick, [continuation = std::move(continuation)] {
-    try {
-      continuation();
-    } catch (...) {
-    }
-  });
-}
-
 void DeterministicExecutor::CancelIfQueued(std::uint64_t id) {
   if (auto job = dispatcher_.CancelQueued(id)) FinishCancelled(std::move(*job));
 }
@@ -944,7 +842,6 @@ void DeterministicExecutor::Complete(Dispatcher::Group* group) {
     record.paired = group->outcome.paired;
     record.stolen = group->issue.stolen;
     record.unpaired_by_timeout = group->issue.unpaired_by_timeout;
-    record.bonded = group->issue.bonded;
     records_.push_back(record);
   }
   Dispatcher::Resolve(group);

@@ -8,9 +8,9 @@
 //
 //   * a thread-safe job queue — Submit() returns a std::future (with an
 //     optional completion callback), SubmitBatch() fans a vector of jobs
-//     out, SubmitPair() bonds two jobs for co-scheduling, and Post()
-//     hands a continuation (e.g. RSA-CRT recombination + fault check) to
-//     a dedicated thread so it never blocks a worker's array;
+//     out, and Post() hands a continuation (e.g. RSA-CRT recombination
+//     + fault check) to a dedicated thread so it never blocks a worker's
+//     array;
 //   * a worker pool whose per-modulus multiplication engines are
 //     LRU-cached, so repeated traffic on one key pays the R^2-mod-N
 //     precomputation once (core/schedule.hpp LruCache);
@@ -38,8 +38,7 @@
 // dual-field backend serves GF(2^m) jobs (the modulus is the field
 // polynomial f and each job computes a field exponentiation, e.g. the
 // Fermat inversions of BinaryCurve::ScalarMulBatch).  Individual jobs
-// may override the backend and request exponent blinding (the sca lab's
-// schedule countermeasure) through ExpJobOptions.
+// may override the backend through ExpJobOptions.
 //
 // PairedModExp() is the engine underneath the pairing path and is exposed
 // directly: it zips the MMM streams of two independent exponentiations
@@ -49,7 +48,6 @@
 // model.  All execution paths are bit-identical; tests assert it.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -67,7 +65,6 @@
 #include <vector>
 
 #include "bignum/biguint.hpp"
-#include "bignum/random.hpp"
 #include "core/engine.hpp"
 #include "core/schedule.hpp"
 
@@ -117,14 +114,6 @@ struct ExpJobOptions {
   /// when both backends have pairable streams; a job on a non-pairable
   /// backend always issues solo.
   std::string engine_name;
-  /// Non-zero: exponent randomization — the job executes with
-  /// exponent + k * exponent_blind_order for a fresh random k per
-  /// execution (same result whenever the order is a multiple of the
-  /// base's multiplicative order; the reported stats then count the
-  /// blinded exponent's operations).
-  bignum::BigUInt exponent_blind_order;
-  /// Bit width of the per-execution random k.
-  std::size_t exponent_blind_bits = 16;
   /// Absolute deadline on the service clock (0 = none).  A job whose
   /// deadline has passed when a worker claims it is *cancelled before
   /// engine dispatch*: its future resolves with ExpResult::cancelled set
@@ -170,18 +159,16 @@ struct ExpResult {
 
 /// Everything needed to run one issue group, with no opinion about
 /// threads or time: backend resolution + validation, the per-(engine,
-/// modulus) LRU engine cache, the exponent-blinding stream, and the
-/// paired/solo group runner.  ExpService workers and the
-/// DeterministicExecutor both execute through one of these, so the two
-/// paths cannot diverge.
+/// modulus) LRU engine cache, and the paired/solo group runner.
+/// ExpService workers and the DeterministicExecutor both execute through
+/// one of these, so the two paths cannot diverge.
 class ExecutionCore {
  public:
   /// `registry` (may be null) receives the engine.* counters: cycle and
   /// operation aggregates published per executed group, plus the
   /// engine-cache hit/miss/eviction tallies.
   ExecutionCore(std::string engine_name, EngineOptions engine_options,
-                std::size_t cache_capacity, std::uint64_t blind_seed,
-                obs::Registry* registry = nullptr);
+                std::size_t cache_capacity, obs::Registry* registry = nullptr);
 
   struct JobSpec {
     bignum::BigUInt modulus;
@@ -213,20 +200,13 @@ class ExecutionCore {
   std::shared_ptr<const MmmEngine> AcquireEngine(
       const std::string& engine_name, const bignum::BigUInt& modulus);
 
-  const std::string& engine_name() const { return engine_name_; }
-  const EngineOptions& engine_options() const { return engine_options_; }
-
  private:
-  bignum::BigUInt EffectiveExponent(const JobSpec& spec);
   /// Publishes one executed group's EngineStats into the engine.*
   /// counters (a pair's shared issue accounting is counted once).
   void PublishGroupStats(const EngineStats& stats);
 
   std::string engine_name_;
   EngineOptions engine_options_;
-
-  std::mutex blind_mu_;  // guards blind_rng_ only
-  bignum::RandomBigUInt blind_rng_;
 
   std::mutex cache_mu_;  // independent of the service mutex
   LruCache<std::string, std::shared_ptr<const MmmEngine>> cache_;
@@ -265,9 +245,6 @@ struct ExpServiceOptions {
   /// backend; the constructor throws on a capability mismatch).  These
   /// options apply to per-job engine overrides too.
   EngineOptions engine_options;
-  /// Seed of the service's exponent-blinding stream (deterministic;
-  /// used only by jobs that request ExpJobOptions::exponent_blind_order).
-  std::uint64_t blind_seed = 0x0b11d5eedull;
 
   // --- scheduler knobs -------------------------------------------------
   /// Scheduling mode (v2 stealing by default; v1 shared queue for A/B).
@@ -335,14 +312,6 @@ class Dispatcher {
     std::uint64_t submit_tick = 0;  ///< set by Enter
   };
 
-  /// Two validated jobs from SubmitPair: `bonded` when they may share
-  /// one array; otherwise (unequal bit lengths) the caller submits them
-  /// as two plain jobs.
-  struct PreparedPair {
-    std::array<Job, 2> jobs;
-    bool bonded = false;
-  };
-
   /// One claimed issue group.
   struct Group {
     StealScheduler::Issue issue;
@@ -360,26 +329,17 @@ class Dispatcher {
 
   // --- submission -------------------------------------------------------
   /// Validates one job (throws std::invalid_argument for an invalid
-  /// modulus, an unknown engine, a field-capability mismatch or blinding
-  /// with zero bits).  Thread-safe.
+  /// modulus, an unknown engine or a field-capability mismatch).
+  /// Thread-safe.
   Job Prepare(bignum::BigUInt modulus, bignum::BigUInt base,
               bignum::BigUInt exponent, ExpJobOptions options,
               Callback callback) const;
-  /// Validates both halves of a pair before either is submitted.
-  /// Thread-safe.
-  PreparedPair PreparePair(bignum::BigUInt modulus_a, bignum::BigUInt base_a,
-                           bignum::BigUInt exponent_a,
-                           bignum::BigUInt modulus_b, bignum::BigUInt base_b,
-                           bignum::BigUInt exponent_b) const;
   /// Numbers a job now (Enter numbers any job still at id 0); the
   /// deterministic executor numbers jobs at submit-call time.
   void AssignId(Job* job) { job->id = next_id_++; }
   /// Queues a job at `now` (opportunistic pairing key: its operand bit
   /// length — any two jobs of equal l can share one array).
   void Enter(Job job, std::uint64_t now);
-  /// Queues a bonded pair as one group: a worker never observes one half
-  /// without the other.
-  void EnterBonded(std::array<Job, 2> jobs, std::uint64_t now);
 
   // --- claim and execution ----------------------------------------------
   /// Claims the next issue groups for `worker` and takes their jobs out
@@ -483,8 +443,8 @@ class ExpService {
   std::future<Result> Submit(bignum::BigUInt modulus, bignum::BigUInt base,
                              bignum::BigUInt exponent, Callback callback = {});
 
-  /// Enqueues one job with per-job options (engine override and/or
-  /// exponent blinding).  Throws std::invalid_argument for an invalid
+  /// Enqueues one job with per-job options (engine override, deadline,
+  /// trace id).  Throws std::invalid_argument for an invalid
   /// modulus, an unknown engine name, or a field-capability mismatch.
   std::future<Result> Submit(bignum::BigUInt modulus, bignum::BigUInt base,
                              bignum::BigUInt exponent, JobOptions options,
@@ -495,15 +455,6 @@ class ExpService {
   std::vector<std::future<Result>> SubmitBatch(
       const bignum::BigUInt& modulus, std::span<const bignum::BigUInt> bases,
       std::span<const bignum::BigUInt> exponents);
-
-  /// Enqueues two jobs bonded for co-scheduling on one dual-channel array
-  /// (e.g. the p- and q-halves of one RSA-CRT operation).  If the moduli
-  /// cannot share an array (unequal bit lengths) or pairing is disabled,
-  /// the jobs still run — just sequentially.
-  std::pair<std::future<Result>, std::future<Result>> SubmitPair(
-      bignum::BigUInt modulus_a, bignum::BigUInt base_a,
-      bignum::BigUInt exponent_a, bignum::BigUInt modulus_b,
-      bignum::BigUInt base_b, bignum::BigUInt exponent_b);
 
   /// Hands a continuation to the service's continuation thread — the
   /// pipelined-CRT hook: a job callback posts recombination + fault
@@ -572,9 +523,9 @@ class ExpService {
 /// workload — the property tests and the multi-tenant stress bench run
 /// here, immune to host timing.
 ///
-/// Usage: schedule arrivals with SubmitAt()/SubmitPairAt()/PostAt(),
-/// then RunUntilIdle().  Callbacks fire at the job's virtual completion
-/// tick and may schedule further work (at >= Now()).
+/// Usage: schedule arrivals with SubmitAt(), then RunUntilIdle().
+/// Callbacks fire at the job's virtual completion tick and may schedule
+/// further work (at >= Now()).
 class DeterministicExecutor {
  public:
   using Result = ExpResult;
@@ -586,12 +537,6 @@ class DeterministicExecutor {
                                bignum::BigUInt base, bignum::BigUInt exponent,
                                ExpJobOptions job_options = {},
                                Callback callback = {});
-  std::pair<std::future<Result>, std::future<Result>> SubmitPairAt(
-      std::uint64_t tick, bignum::BigUInt modulus_a, bignum::BigUInt base_a,
-      bignum::BigUInt exponent_a, bignum::BigUInt modulus_b,
-      bignum::BigUInt base_b, bignum::BigUInt exponent_b);
-  /// Runs `continuation` at the given virtual tick (clamped to Now()).
-  void PostAt(std::uint64_t tick, std::function<void()> continuation);
 
   /// Processes events until nothing remains; Now() then holds the last
   /// completion tick (the virtual makespan).
@@ -609,7 +554,6 @@ class DeterministicExecutor {
     bool paired = false;
     bool stolen = false;
     bool unpaired_by_timeout = false;
-    bool bonded = false;
     /// Deadline expired in queue; finish_tick is the exact cancellation
     /// tick (== the deadline when it expired while queued/held).
     bool cancelled = false;

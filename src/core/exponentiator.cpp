@@ -18,26 +18,8 @@ Exponentiator::Exponentiator(std::unique_ptr<MmmEngine> engine)
   }
 }
 
-void Exponentiator::EnableExponentBlinding(ExponentBlinding blinding) {
-  if (blinding.group_order.IsZero()) {
-    throw std::invalid_argument(
-        "Exponentiator: blinding group_order must be nonzero");
-  }
-  if (blinding.random_bits == 0) {
-    throw std::invalid_argument(
-        "Exponentiator: blinding random_bits must be >= 1");
-  }
-  blind_rng_.emplace(blinding.seed);
-  blinding_ = std::move(blinding);
-}
-
 BigUInt Exponentiator::ModExp(const BigUInt& base, const BigUInt& exponent,
-                              EngineStats* stats) {
-  if (blinding_.has_value()) {
-    const BigUInt k = blind_rng_->ExactBits(blinding_->random_bits);
-    return engine_->ModExp(base, exponent + k * blinding_->group_order,
-                           stats);
-  }
+                              EngineStats* stats) const {
   return engine_->ModExp(base, exponent, stats);
 }
 

@@ -18,28 +18,13 @@
 // the engine's own count so benches can print paper-vs-measured.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 
 #include "bignum/biguint.hpp"
-#include "bignum/random.hpp"
 #include "core/engine.hpp"
 
 namespace mont::core {
-
-/// Exponent-randomization countermeasure (§5's side-channel motivation,
-/// closed by the sca lab): every ModExp call runs with
-/// exponent + k * group_order for a fresh random k, so the
-/// square/multiply sequence — the SPA/CPA target — changes per call while
-/// the result is unchanged whenever group_order is a multiple of the
-/// base's multiplicative order (e.g. lambda(n) or phi(n) for RSA).
-struct ExponentBlinding {
-  bignum::BigUInt group_order;   ///< must be a multiple of the base's order
-  std::size_t random_bits = 16;  ///< bit width of the per-call random k
-  std::uint64_t seed = 0x0b11d5eedull;  ///< deterministic blinding stream
-};
 
 /// Modular exponentiator over a fixed odd modulus N (bit length l),
 /// parameterised by multiplication backend.
@@ -57,25 +42,15 @@ class Exponentiator {
   const MmmEngine& Engine() const { return *engine_; }
 
   /// base^exponent mod N via left-to-right square-and-multiply with
-  /// Montgomery pre-/post-processing exactly as in §4.5.  With exponent
-  /// blinding enabled the scan actually runs over
-  /// exponent + k * group_order (fresh k per call): same result,
-  /// randomized operation sequence — `stats` then reports the blinded
-  /// exponent's operation counts.
+  /// Montgomery pre-/post-processing exactly as in §4.5.  Exponent
+  /// randomization, the §5 countermeasure, lives in the RSA private-key
+  /// paths (crypto::RsaBlindingOptions::exponent_blind_bits).
   bignum::BigUInt ModExp(const bignum::BigUInt& base,
                          const bignum::BigUInt& exponent,
-                         EngineStats* stats = nullptr);
-
-  /// Enables per-call exponent randomization.  Throws
-  /// std::invalid_argument if group_order is zero or random_bits is 0.
-  void EnableExponentBlinding(ExponentBlinding blinding);
-  void DisableExponentBlinding() { blinding_.reset(); }
-  bool ExponentBlindingEnabled() const { return blinding_.has_value(); }
+                         EngineStats* stats = nullptr) const;
 
  private:
   std::unique_ptr<MmmEngine> engine_;
-  std::optional<ExponentBlinding> blinding_;
-  std::optional<bignum::RandomBigUInt> blind_rng_;
 };
 
 }  // namespace mont::core

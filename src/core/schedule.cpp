@@ -37,7 +37,6 @@ StealScheduler::StealScheduler(Config config) : config_(config) {
   if (registry == nullptr) return;
   metrics_.dispatched_groups = registry->GetCounter("sched.dispatched_groups");
   metrics_.pairs_formed = registry->GetCounter("sched.pairs_formed");
-  metrics_.bonded_groups = registry->GetCounter("sched.bonded_groups");
   metrics_.holds = registry->GetCounter("sched.holds");
   metrics_.hold_pairs = registry->GetCounter("sched.hold_pairs");
   metrics_.unpair_timeouts = registry->GetCounter("sched.unpair_timeouts");
@@ -163,32 +162,6 @@ void StealScheduler::Submit(std::uint64_t id, std::uint64_t key,
   Dispatch(std::move(solo));
 }
 
-void StealScheduler::SubmitBonded(std::uint64_t id_a, std::uint64_t id_b,
-                                  std::uint64_t now) {
-  if (!config_.enable_pairing) {
-    // With pairing disabled the bonded halves still execute, just as two
-    // solo issues.
-    Group first, second;
-    first.ids[0] = id_a;
-    first.count = 1;
-    first.arrival = now;
-    second.ids[0] = id_b;
-    second.count = 1;
-    second.arrival = now;
-    Dispatch(std::move(first));
-    Dispatch(std::move(second));
-    return;
-  }
-  Group pair;
-  pair.ids[0] = id_a;
-  pair.ids[1] = id_b;
-  pair.count = 2;
-  pair.bonded = true;
-  pair.arrival = now;
-  metrics_.bonded_groups.Increment();
-  Dispatch(std::move(pair));
-}
-
 std::optional<StealScheduler::Issue> StealScheduler::PopGroup(
     std::size_t worker, bool stolen) {
   Group group = std::move(deques_[worker].front());
@@ -200,8 +173,6 @@ std::optional<StealScheduler::Issue> StealScheduler::PopGroup(
     issue.ids[issue.count++] = group.ids[i];
   }
   if (issue.count == 0) return std::nullopt;  // every slot was cancelled
-  // A pair whose partner was cancelled issues as a plain solo.
-  issue.bonded = group.bonded && issue.count == 2;
   issue.stolen = stolen;
   issue.arrival = group.arrival;
   if (stolen) metrics_.steals.Increment();
@@ -340,9 +311,5 @@ std::optional<std::uint64_t> StealScheduler::NextHoldDeadline() const {
 }
 
 bool StealScheduler::Idle() const { return queued_jobs_ == 0; }
-
-std::size_t StealScheduler::QueueDepth(std::size_t worker) const {
-  return deques_[Home(worker)].size();
-}
 
 }  // namespace mont::core

@@ -162,7 +162,7 @@ enum class SchedulerKind {
 /// dual-channel array runs at half throughput; and one shared queue
 /// serialises every worker on one lock.  V2 fixes both:
 ///
-///   * Formed issue groups (pairs, bonded pairs, solos) are dispatched
+///   * Formed issue groups (pairs and solos) are dispatched
 ///     to the least-loaded worker's deque; an idle worker whose own
 ///     deque is empty *steals* the oldest group from the first
 ///     non-empty victim deque in ring order, so one hot modulus — or
@@ -209,7 +209,6 @@ class StealScheduler {
   struct Issue {
     std::array<std::uint64_t, 2> ids{};
     std::size_t count = 0;
-    bool bonded = false;
     /// Taken from another worker's deque.
     bool stolen = false;
     /// Issued solo after being held for a partner that never came.
@@ -220,10 +219,10 @@ class StealScheduler {
 
   /// Registers the sched.* counters: dispatched_groups (groups that
   /// entered a deque), pairs_formed (opportunistic pairs, all paths),
-  /// bonded_groups, holds, hold_pairs (holds that found a partner in
-  /// time), unpair_timeouts (holds released solo), steals,
-  /// batch_acquires (claims of > 1 group), cancelled (jobs removed by
-  /// Cancel before acquire) and the max_batch_claimed gauge.
+  /// holds, hold_pairs (holds that found a partner in time),
+  /// unpair_timeouts (holds released solo), steals, batch_acquires
+  /// (claims of > 1 group), cancelled (jobs removed by Cancel before
+  /// acquire) and the max_batch_claimed gauge.
   explicit StealScheduler(Config config);
 
   /// Submits one job.  `pairable` marks a job whose backend can share a
@@ -234,11 +233,6 @@ class StealScheduler {
   /// dispatch immediately; the shared-queue mode never holds).
   void Submit(std::uint64_t id, std::uint64_t key, bool pairable,
               std::uint64_t now);
-
-  /// Submits two jobs bonded into one group (RSA-CRT halves).  With
-  /// pairing disabled they dispatch as two solo groups instead.
-  void SubmitBonded(std::uint64_t id_a, std::uint64_t id_b,
-                    std::uint64_t now);
 
   /// Claims one group for `worker`: the oldest-arrival of {own deque
   /// front, oldest ready held job}; otherwise steals the front (oldest)
@@ -274,16 +268,13 @@ class StealScheduler {
   std::size_t PendingJobs() const { return queued_jobs_; }
   /// Groups currently executing (Acquire'd, not yet OnGroupDone'd).
   std::size_t InFlightGroups() const { return in_flight_groups_; }
-  std::size_t QueueDepth(std::size_t worker) const;
   std::size_t HeldJobs() const { return waiting_.size(); }
-  const Config& GetConfig() const { return config_; }
 
  private:
   /// A formed issue group parked in a worker deque.
   struct Group {
     std::array<std::uint64_t, 2> ids{};
     std::size_t count = 0;
-    bool bonded = false;
     std::uint64_t key = 0;
     std::uint64_t arrival = 0;
     /// Still upgradeable: a later same-key submit may join this group
@@ -336,7 +327,6 @@ class StealScheduler {
   struct {
     obs::Counter dispatched_groups;
     obs::Counter pairs_formed;
-    obs::Counter bonded_groups;
     obs::Counter holds;
     obs::Counter hold_pairs;
     obs::Counter unpair_timeouts;
@@ -387,7 +377,6 @@ class LruCache {
 
   bool Contains(const Key& key) const { return index_.count(key) != 0; }
   std::size_t Size() const { return order_.size(); }
-  std::size_t Capacity() const { return capacity_; }
 
  private:
   std::size_t capacity_;

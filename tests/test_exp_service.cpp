@@ -357,35 +357,6 @@ TEST(ExpService, PairedAndUnpairedAreBitIdentical) {
   }
 }
 
-TEST(ExpService, BondedPairReportsPairCycleAccounting) {
-  auto rng = test::TestRng();
-  const std::size_t bits = 48;
-  const BigUInt n_a = rng.OddExactBits(bits);
-  const BigUInt n_b = rng.OddExactBits(bits);
-  ExpService::Options options;
-  options.workers = 1;
-  ExpService service(options);
-  auto [future_a, future_b] =
-      service.SubmitPair(n_a, rng.Below(n_a), rng.BalancedExactBits(bits),
-                         n_b, rng.Below(n_b), rng.BalancedExactBits(bits));
-  const ExpService::Result result_a = future_a.get();
-  const ExpService::Result result_b = future_b.get();
-  EXPECT_TRUE(result_a.paired);
-  EXPECT_TRUE(result_b.paired);
-  // Both report the same issue group, charged 3l+5 per MMM pair.
-  EXPECT_EQ(result_a.stats.engine_cycles, result_b.stats.engine_cycles);
-  EXPECT_EQ(result_a.stats.paired_issues, result_b.stats.paired_issues);
-  EXPECT_GT(result_a.stats.paired_issues, 0u);
-  EXPECT_EQ(result_a.stats.engine_cycles,
-            result_a.stats.paired_issues * PairedMultiplyCycles(bits) +
-                result_a.stats.single_issues * MultiplyCycles(bits));
-  // And the pair beats running its MMMs sequentially.
-  const std::uint64_t sequential =
-      (result_a.stats.mmm_invocations + result_b.stats.mmm_invocations) *
-      MultiplyCycles(bits);
-  EXPECT_LT(result_a.stats.engine_cycles, sequential);
-}
-
 TEST(ExpService, SubmitBatchAndCallbacks) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(32);
@@ -416,9 +387,6 @@ TEST(ExpService, RejectsBadModuli) {
   EXPECT_THROW(service.Submit(BigUInt{24}, BigUInt{2}, BigUInt{3}),
                std::invalid_argument);
   EXPECT_THROW(service.Submit(BigUInt{1}, BigUInt{2}, BigUInt{3}),
-               std::invalid_argument);
-  EXPECT_THROW(service.SubmitPair(BigUInt{23}, BigUInt{2}, BigUInt{3},
-                                  BigUInt{8}, BigUInt{2}, BigUInt{3}),
                std::invalid_argument);
 }
 
@@ -627,8 +595,9 @@ TEST(ExpServiceJobOptions, OverrideFallsBackToServiceDefault) {
 
 // A non-pairable *default* backend must not disable pairing for jobs
 // whose override selects a pairable one: the word-serial default issues
-// solo (its jobs carry solo queue keys), while bit-serial override jobs
-// of equal length still co-schedule.
+// solo (its jobs carry solo queue keys) and reports no dual-channel
+// issue, while bit-serial override jobs of equal length still
+// co-schedule.
 TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(20);
@@ -655,34 +624,11 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
     ASSERT_EQ(via_default.value, want);
     ASSERT_EQ(via_override.value, want);
     EXPECT_FALSE(via_default.paired) << "word-serial default must issue solo";
+    EXPECT_EQ(via_default.stats.paired_issues, 0u)
+        << "word-serial jobs must not report fictitious pair issues";
   }
   EXPECT_GT(service.registry().Snapshot().CounterValue("issues.paired"), 0u)
       << "equal-length pairable overrides must co-schedule";
-}
-
-// A bonded SubmitPair on a non-pairable backend pops as a bonded group
-// but executes as two solo issues — and the counters must say so rather
-// than report fictitious dual-channel throughput.
-TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
-  auto rng = test::TestRng();
-  const BigUInt n_a = rng.OddExactBits(16);
-  const BigUInt n_b = rng.OddExactBits(16);
-  ExpService::Options options;
-  options.workers = 1;
-  options.engine_name = "word-mont";
-  ExpService service(options);
-  const BigUInt base = BigUInt{7}, exponent = BigUInt{13};
-  auto [first, second] = service.SubmitPair(n_a, base, exponent, n_b, base,
-                                            exponent);
-  const ExpService::Result result_a = first.get();
-  const ExpService::Result result_b = second.get();
-  EXPECT_EQ(result_a.value, BigUInt::ModExp(base, exponent, n_a));
-  EXPECT_EQ(result_b.value, BigUInt::ModExp(base, exponent, n_b));
-  EXPECT_FALSE(result_a.paired);
-  EXPECT_FALSE(result_b.paired);
-  const obs::MetricsSnapshot counters = service.registry().Snapshot();
-  EXPECT_EQ(counters.CounterValue("issues.paired"), 0u);
-  EXPECT_EQ(counters.CounterValue("issues.single"), 2u);
 }
 
 TEST(ExpServiceJobOptions, RejectsUnknownOrMismatchedOverride) {
@@ -692,11 +638,6 @@ TEST(ExpServiceJobOptions, RejectsUnknownOrMismatchedOverride) {
   ExpService::JobOptions bad_name;
   bad_name.engine_name = "no-such-engine";
   EXPECT_THROW(service.Submit(n, BigUInt{2}, BigUInt{3}, bad_name),
-               std::invalid_argument);
-  ExpService::JobOptions blind_no_bits;
-  blind_no_bits.exponent_blind_order = BigUInt{6};
-  blind_no_bits.exponent_blind_bits = 0;
-  EXPECT_THROW(service.Submit(n, BigUInt{2}, BigUInt{3}, blind_no_bits),
                std::invalid_argument);
   // GF(2^m) service: a GF(p)-only override must be rejected at Submit.
   ExpService::Options gf2_options;
@@ -708,29 +649,6 @@ TEST(ExpServiceJobOptions, RejectsUnknownOrMismatchedOverride) {
   gfp_only.engine_name = "word-mont";
   EXPECT_THROW(gf2_service.Submit(f, BigUInt{0b10}, BigUInt{3}, gfp_only),
                std::invalid_argument);
-}
-
-// Exponent blinding through the service: same results as unblinded jobs
-// (the blinding order is a multiple of every base's order), randomized
-// schedule visible as extra MMM invocations in the stats.
-TEST(ExpServiceJobOptions, ExponentBlindingSameValuesMoreOperations) {
-  auto rng = test::TestRng();
-  const crypto::RsaKeyPair key = crypto::GenerateRsaKey(64, rng);
-  const BigUInt lambda = crypto::RsaLambda(key);
-  ExpService service;
-  for (int trial = 0; trial < 4; ++trial) {
-    const BigUInt base = rng.Below(key.n);
-    const BigUInt exponent = rng.Below(key.n);
-    const ExpService::Result plain =
-        service.Submit(key.n, base, exponent).get();
-    ExpService::JobOptions blind;
-    blind.exponent_blind_order = lambda;
-    blind.exponent_blind_bits = 12;
-    const ExpService::Result blinded =
-        service.Submit(key.n, base, exponent, blind).get();
-    EXPECT_EQ(blinded.value, plain.value);
-    EXPECT_GT(blinded.stats.mmm_invocations, plain.stats.mmm_invocations);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -822,7 +740,8 @@ std::uint64_t BusyCycles(
 }
 
 // FNV-1a-64 over every field of every record, in record order — pins a
-// whole schedule to one number.
+// whole schedule to one number.  The constant '0' stands where a removed
+// flag (the bonded-pair marker) was, so the pinned digests stay valid.
 std::uint64_t RecordsDigest(
     const std::vector<DeterministicExecutor::JobRecord>& records) {
   std::string text;
@@ -831,7 +750,7 @@ std::uint64_t RecordsDigest(
             std::to_string(r.start_tick) + ':' +
             std::to_string(r.finish_tick) + ':' + std::to_string(r.worker) +
             ':' + char('0' + r.paired) + char('0' + r.stolen) +
-            char('0' + r.unpaired_by_timeout) + char('0' + r.bonded) +
+            char('0' + r.unpaired_by_timeout) + '0' +
             char('0' + r.cancelled) + ';';
   }
   return test::Fnv1a64(text);
@@ -847,6 +766,51 @@ std::uint64_t CalibrateSoloTicks(const BigUInt& n, const BigUInt& base,
   calibrate.RunUntilIdle();
   const auto& record = calibrate.Records().at(0);
   return record.finish_tick - record.start_tick;
+}
+
+// Shared pair-cycle accounting: with the one worker busy, two
+// equal-length jobs on different moduli arriving at one tick pair (a
+// held partner under v2, a joined open solo under v1).  Both report the
+// group's array occupancy, 3l+5 per MMM pair plus 3l+4 per leftover
+// single issue, which beats running their MMMs sequentially.
+TEST(DeterministicExecutor, OpportunisticPairReportsPairCycleAccounting) {
+  auto rng = test::TestRng();
+  const std::size_t bits = 48;
+  const BigUInt n_a = rng.OddExactBits(bits);
+  const BigUInt n_b = rng.OddExactBits(bits);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kStealing, SchedulerKind::kSharedQueue}) {
+    ExpService::Options options;
+    options.workers = 1;
+    options.scheduler = kind;
+    DeterministicExecutor exec(options);
+    exec.SubmitAt(0, n_a, rng.Below(n_a), rng.BalancedExactBits(bits));
+    const BigUInt base_a = rng.Below(n_a), exp_a = rng.BalancedExactBits(bits);
+    const BigUInt base_b = rng.Below(n_b), exp_b = rng.BalancedExactBits(bits);
+    auto future_a = exec.SubmitAt(10, n_a, base_a, exp_a);
+    auto future_b = exec.SubmitAt(10, n_b, base_b, exp_b);
+    exec.RunUntilIdle();
+    const DeterministicExecutor::Result result_a = future_a.get();
+    const DeterministicExecutor::Result result_b = future_b.get();
+    EXPECT_EQ(result_a.value, BigUInt::ModExp(base_a, exp_a, n_a));
+    EXPECT_EQ(result_b.value, BigUInt::ModExp(base_b, exp_b, n_b));
+    EXPECT_TRUE(result_a.paired);
+    EXPECT_TRUE(result_b.paired);
+    // Both report the same issue group, charged 3l+5 per MMM pair.
+    EXPECT_EQ(result_a.stats.engine_cycles, result_b.stats.engine_cycles);
+    EXPECT_EQ(result_a.stats.paired_issues, result_b.stats.paired_issues);
+    EXPECT_GT(result_a.stats.paired_issues, 0u);
+    for (const DeterministicExecutor::Result* result : {&result_a, &result_b}) {
+      EXPECT_EQ(result->stats.engine_cycles,
+                result->stats.paired_issues * PairedMultiplyCycles(bits) +
+                    result->stats.single_issues * MultiplyCycles(bits));
+    }
+    // And the pair beats running its MMMs sequentially.
+    const std::uint64_t sequential =
+        (result_a.stats.mmm_invocations + result_b.stats.mmm_invocations) *
+        MultiplyCycles(bits);
+    EXPECT_LT(result_a.stats.engine_cycles, sequential);
+  }
 }
 
 TEST(DeterministicExecutor, VirtualClockDrivesHoldPairAndUnpairDecisions) {
@@ -1273,16 +1237,15 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
 }
 
 // Regression for the shutdown drain: destroying the service with jobs
-// still queued — including bonded pairs and callback-posted
-// continuations — must resolve every future and run every continuation
-// before the destructor returns.  No callback may run after destruction.
-void ShutdownDrainsBondedPairsAndContinuations(SchedulerKind scheduler) {
+// still queued — including two same-modulus jobs the scheduler may pair
+// and callback-posted continuations — must resolve every future and run
+// every continuation before the destructor returns.  No callback may
+// run after destruction.
+void ShutdownDrainsJobsAndContinuations(SchedulerKind scheduler) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(96);
   for (int round = 0; round < 20; ++round) {
     std::vector<std::future<ExpService::Result>> futures;
-    std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
-        bonded;
     auto callbacks = std::make_shared<std::atomic<int>>(0);
     auto continuations = std::make_shared<std::atomic<int>>(0);
     constexpr int kJobs = 12;
@@ -1301,8 +1264,9 @@ void ShutdownDrainsBondedPairsAndContinuations(SchedulerKind scheduler) {
               });
             }));
       }
-      bonded = service.SubmitPair(n, rng.Below(n), rng.Below(n), n,
-                                  rng.Below(n), rng.Below(n));
+      for (int j = 0; j < 2; ++j) {
+        futures.push_back(service.Submit(n, rng.Below(n), rng.Below(n)));
+      }
       // Destructor runs here, racing the freshly queued work.
     }
     EXPECT_EQ(callbacks->load(), kJobs) << "round " << round;
@@ -1312,22 +1276,15 @@ void ShutdownDrainsBondedPairsAndContinuations(SchedulerKind scheduler) {
                 std::future_status::ready);
       future.get();
     }
-    ASSERT_EQ(bonded.first.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    ASSERT_EQ(bonded.second.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    bonded.first.get();
-    bonded.second.get();
   }
 }
 
-TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
-  ShutdownDrainsBondedPairsAndContinuations(SchedulerKind::kStealing);
+TEST(ExpService, ShutdownDrainsInFlightJobsAndContinuations) {
+  ShutdownDrainsJobsAndContinuations(SchedulerKind::kStealing);
 }
 
-TEST(ExpService,
-     ShutdownDrainsInFlightBondedPairsAndContinuationsSharedQueue) {
-  ShutdownDrainsBondedPairsAndContinuations(SchedulerKind::kSharedQueue);
+TEST(ExpService, ShutdownDrainsInFlightJobsAndContinuationsSharedQueue) {
+  ShutdownDrainsJobsAndContinuations(SchedulerKind::kSharedQueue);
 }
 
 }  // namespace

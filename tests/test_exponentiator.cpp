@@ -5,7 +5,6 @@
 
 #include "bignum/biguint.hpp"
 #include "bignum/exp_schedule.hpp"
-#include "bignum/prime.hpp"
 #include "bignum/random.hpp"
 #include "core/exponentiator.hpp"
 #include "core/schedule.hpp"
@@ -156,45 +155,6 @@ TEST(Exponentiator, RsaRoundTripSmall) {
     const BigUInt c = exp.ModExp(BigUInt{m}, e);
     EXPECT_EQ(exp.ModExp(c, d).ToUint64(), m);
   }
-}
-
-// Exponent randomization (the sca lab's schedule countermeasure): every
-// call runs a different square/multiply sequence — visibly more MMMs —
-// while the value is unchanged because the added multiple of the group
-// order annihilates.
-TEST(Exponentiator, ExponentBlindingSameValueRandomizedSchedule) {
-  auto rng = test::TestRng();
-  const BigUInt p = bignum::GeneratePrime(48, rng);  // group order p-1
-  Exponentiator plain(p);
-  Exponentiator blinded(p);
-  blinded.EnableExponentBlinding(
-      {.group_order = p - BigUInt{1}, .random_bits = 12, .seed = 99});
-  EXPECT_TRUE(blinded.ExponentBlindingEnabled());
-  for (int trial = 0; trial < 5; ++trial) {
-    const BigUInt base = rng.Below(p);
-    const BigUInt e = rng.ExactBits(32);
-    EngineStats plain_stats, blinded_stats;
-    const BigUInt expected = plain.ModExp(base, e, &plain_stats);
-    EXPECT_EQ(blinded.ModExp(base, e, &blinded_stats), expected);
-    // k's top bit is forced, so the blinded exponent is strictly longer.
-    EXPECT_GT(blinded_stats.mmm_invocations, plain_stats.mmm_invocations);
-  }
-  blinded.DisableExponentBlinding();
-  EXPECT_FALSE(blinded.ExponentBlindingEnabled());
-  const BigUInt base = rng.Below(p);
-  EngineStats off_stats;
-  blinded.ModExp(base, BigUInt{3}, &off_stats);
-  EXPECT_EQ(off_stats.squarings, 1u);
-}
-
-TEST(Exponentiator, ExponentBlindingRejectsBadConfig) {
-  auto rng = test::TestRng();
-  Exponentiator exp(rng.OddExactBits(16));
-  EXPECT_THROW(exp.EnableExponentBlinding({.group_order = BigUInt{0}}),
-               std::invalid_argument);
-  EXPECT_THROW(exp.EnableExponentBlinding(
-                   {.group_order = BigUInt{6}, .random_bits = 0}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -87,41 +87,6 @@ TEST(PairingQueue, OddJobOutAndLoneKeysDoNotStarve) {
   EXPECT_EQ(queue.Acquire(1, 4)->ids[0], 5u);
 }
 
-TEST(PairingQueue, BondedEntriesOnlyPairWithTheirPartner) {
-  StealScheduler queue(SharedQueueConfig());
-  queue.Submit(1, 64, true, 0);  // opportunistic
-  queue.SubmitBonded(2, 4, 1);   // bonded halves
-  queue.Submit(3, 64, true, 2);  // opportunistic
-  auto first = queue.Acquire(0, 2);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->ids[0], 1u);
-  EXPECT_EQ(first->ids[1], 3u);  // skipped the bonded group in between
-  EXPECT_FALSE(first->bonded);
-  auto second = queue.Acquire(0, 2);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->bonded);
-  EXPECT_EQ(second->ids[0], 2u);
-  EXPECT_EQ(second->ids[1], 4u);
-}
-
-TEST(PairingQueue, BondedAndOpportunisticNeverMixOnSameKey) {
-  StealScheduler queue(SharedQueueConfig());
-  queue.SubmitBonded(1, 2, 0);
-  queue.Submit(3, 64, true, 1);
-  auto first = queue.Acquire(0, 1);
-  ASSERT_TRUE(first.has_value());
-  // The bonded group cannot claim the plain entry, nor the plain entry
-  // join the bond.
-  EXPECT_TRUE(first->bonded);
-  EXPECT_EQ(first->count, 2u);
-  EXPECT_EQ(first->ids[0], 1u);
-  EXPECT_EQ(first->ids[1], 2u);
-  auto second = queue.Acquire(0, 1);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->count, 1u);
-  EXPECT_EQ(second->ids[0], 3u);
-}
-
 // Property check: every id issues exactly once, pairs always share a key,
 // and the first slot of successive issues preserves FIFO order.
 TEST(PairingQueue, RandomizedConservationAndOrder) {
@@ -166,7 +131,6 @@ TEST(PairingQueue, CancelledOpportunisticSlotIsTombstoned) {
   ASSERT_TRUE(survivor.has_value());
   EXPECT_EQ(survivor->count, 1u);
   EXPECT_EQ(survivor->ids[0], 1u);
-  EXPECT_FALSE(survivor->bonded);
   // 3 sits alone as an open solo; cancelling it closes it, so 4 opens a
   // group of its own and the tombstoned shell is skipped on acquire.
   ASSERT_TRUE(queue.Cancel(3));
@@ -324,31 +288,6 @@ TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
   EXPECT_FALSE(fixed.Acquire(2, 0).has_value());
 }
 
-TEST(StealScheduler, BondedPairsNeverSplitAndSkipHolds) {
-  StealScheduler sched(TwoWorkerConfig());
-  sched.SubmitBonded(1, 2, 0);
-  auto issue = sched.Acquire(0, 0);
-  ASSERT_TRUE(issue.has_value());
-  EXPECT_TRUE(issue->bonded);
-  EXPECT_EQ(issue->count, 2u);
-  EXPECT_EQ(issue->ids[0], 1u);
-  EXPECT_EQ(issue->ids[1], 2u);
-  sched.OnGroupDone();
-  // With pairing disabled bonded submits degrade to two solo groups.
-  StealScheduler::Config solo_config = TwoWorkerConfig();
-  solo_config.enable_pairing = false;
-  StealScheduler solo(solo_config);
-  solo.SubmitBonded(1, 2, 0);
-  std::size_t jobs = 0;
-  while (auto got = solo.Acquire(0, 0)) {
-    EXPECT_EQ(got->count, 1u);
-    EXPECT_FALSE(got->bonded);
-    jobs += got->count;
-    solo.OnGroupDone();
-  }
-  EXPECT_EQ(jobs, 2u);
-}
-
 TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
   obs::Registry registry;
   StealScheduler::Config config = TwoWorkerConfig(&registry);
@@ -379,8 +318,8 @@ TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
   EXPECT_EQ(light.AcquireBatch(0, 0, &issues), 1u);
 }
 
-// Model check: a seeded stream of submits, bonded submits, acquires,
-// completions, and clock advances, validated against a brute-force
+// Model check: a seeded stream of submits, same-tick submit pairs,
+// acquires, completions, and clock advances, validated against a brute-force
 // reference model of what may legally issue.  Eight rounds run the v2
 // mode, eight the shared-queue mode.
 TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
@@ -399,7 +338,6 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     const bool shared = config.kind == SchedulerKind::kSharedQueue;
 
     std::map<std::uint64_t, std::uint64_t> key_of;       // reference model
-    std::map<std::uint64_t, std::uint64_t> bond_partner;
     std::set<std::uint64_t> outstanding;                  // submitted, unissued
     std::set<std::uint64_t> issued;
     std::uint64_t next_id = 1;
@@ -418,10 +356,7 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
         outstanding.erase(id);
         ASSERT_TRUE(issued.insert(id).second) << "id issued twice: " << id;
       }
-      if (issue.bonded) {
-        ASSERT_EQ(issue.count, 2u);
-        ASSERT_EQ(bond_partner.at(issue.ids[0]), issue.ids[1]);
-      } else if (issue.count == 2) {
+      if (issue.count == 2) {
         ASSERT_EQ(key_of.at(issue.ids[0]), key_of.at(issue.ids[1]))
             << "opportunistic pair across keys";
       }
@@ -447,14 +382,15 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
           ++next_id;
           break;
         }
-        case 3: {  // bonded submit
-          key_of[next_id] = 90;
-          key_of[next_id + 1] = 91;
-          bond_partner[next_id] = next_id + 1;
-          outstanding.insert(next_id);
-          outstanding.insert(next_id + 1);
-          sched.SubmitBonded(next_id, next_id + 1, now);
-          next_id += 2;
+        case 3: {  // two pairable submits at one tick on a fresh key
+          // (the shape of one request's RSA-CRT halves)
+          const std::uint64_t key = 100 + next_id;
+          for (int half = 0; half < 2; ++half) {
+            key_of[next_id] = key;
+            outstanding.insert(next_id);
+            sched.Submit(next_id, key, true, now);
+            ++next_id;
+          }
           break;
         }
         case 4: {  // acquire from a random worker
@@ -555,8 +491,7 @@ TEST(LruCache, PutRefreshesAndReplacesInPlace) {
 // ExecutionCore, as the engine.cache_* registry counters.
 TEST(LruCache, CountsHitsAndMisses) {
   obs::Registry registry;
-  ExecutionCore core("bit-serial", {}, /*cache_capacity=*/1,
-                     /*blind_seed=*/0, &registry);
+  ExecutionCore core("bit-serial", {}, /*cache_capacity=*/1, &registry);
   const bignum::BigUInt n{0xfffb};
   const bignum::BigUInt m{0xfff1};
   core.AcquireEngine("bit-serial", n);  // miss
