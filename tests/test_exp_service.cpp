@@ -624,11 +624,36 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
     ASSERT_EQ(via_default.value, want);
     ASSERT_EQ(via_override.value, want);
     EXPECT_FALSE(via_default.paired) << "word-serial default must issue solo";
-    EXPECT_EQ(via_default.stats.paired_issues, 0u)
-        << "word-serial jobs must not report fictitious pair issues";
   }
   EXPECT_GT(service.registry().Snapshot().CounterValue("issues.paired"), 0u)
       << "equal-length pairable overrides must co-schedule";
+}
+
+// Two back-to-back same-modulus submits are the scheduler's best pairing
+// candidates, but on a non-pairable backend they execute as two solo
+// issues, and the counters must say so rather than report fictitious
+// dual-channel throughput.
+TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(16);
+  ExpService::Options options;
+  options.workers = 1;
+  options.engine_name = "word-mont";
+  ExpService service(options);
+  const BigUInt base = BigUInt{7}, exponent = BigUInt{13};
+  auto first = service.Submit(n, base, exponent);
+  auto second = service.Submit(n, base, exponent);
+  const ExpService::Result result_a = first.get();
+  const ExpService::Result result_b = second.get();
+  EXPECT_EQ(result_a.value, BigUInt::ModExp(base, exponent, n));
+  EXPECT_EQ(result_b.value, BigUInt::ModExp(base, exponent, n));
+  EXPECT_FALSE(result_a.paired);
+  EXPECT_FALSE(result_b.paired);
+  EXPECT_EQ(result_a.stats.paired_issues, 0u);
+  EXPECT_EQ(result_b.stats.paired_issues, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(counters.CounterValue("issues.paired"), 0u);
+  EXPECT_EQ(counters.CounterValue("issues.single"), 2u);
 }
 
 TEST(ExpServiceJobOptions, RejectsUnknownOrMismatchedOverride) {
